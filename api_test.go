@@ -2,12 +2,7 @@ package dcc
 
 import (
 	"errors"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"reflect"
-	"regexp"
-	"strings"
 	"testing"
 
 	"dcc/internal/runner"
@@ -59,6 +54,11 @@ func TestSentinelErrorsWrapped(t *testing.T) {
 	}
 	if _, err := dep.AchievableTau(2); !errors.Is(err, ErrNotAchievable) {
 		t.Fatalf("AchievableTau(2) err = %v, want errors.Is ErrNotAchievable", err)
+	}
+	for _, tau := range []int{-1, 0, 2} {
+		if _, err := dep.VerifyConfine(dep.G, tau); !errors.Is(err, ErrTauTooSmall) {
+			t.Fatalf("VerifyConfine(tau=%d) err = %v, want errors.Is ErrTauTooSmall", tau, err)
+		}
 	}
 }
 
@@ -130,16 +130,13 @@ func TestSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestStatsAliases: the deprecated result-surface names must stay in sync
-// with their canonical replacements for the deprecation window.
-func TestStatsAliases(t *testing.T) {
+// TestStatsDeletions: the Deletions counter of every result surface must
+// equal the length of the deletion order it reports.
+func TestStatsDeletions(t *testing.T) {
 	dep := smallDeployment(t, 7)
 	res, err := dep.ScheduleDCC(4, ScheduleOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Stats.Deleted != res.Stats.Deletions {
-		t.Fatalf("core Stats.Deleted = %d, want alias of Deletions = %d", res.Stats.Deleted, res.Stats.Deletions)
 	}
 	if res.Stats.Deletions != len(res.Deleted) {
 		t.Fatalf("Stats.Deletions = %d, want %d", res.Stats.Deletions, len(res.Deleted))
@@ -149,65 +146,7 @@ func TestStatsAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dres.Stats.SuperRounds != dres.Stats.Rounds {
-		t.Fatalf("dist Stats.SuperRounds = %d, want alias of Rounds = %d", dres.Stats.SuperRounds, dres.Stats.Rounds)
-	}
 	if dres.Stats.Deletions != len(dres.Deleted) {
 		t.Fatalf("dist Stats.Deletions = %d, want %d", dres.Stats.Deletions, len(dres.Deleted))
-	}
-}
-
-// TestDeprecatedAliasAudit: the deprecated stats aliases (core.Stats.Deleted,
-// dist.Stats.SuperRounds) are kept in sync for one final release for external
-// readers only. No Go source in this module may use them through a selector
-// except the declared sync writers and the alias tests above. This scan fails
-// the build on any new internal use, so the aliases can be deleted next
-// release by removing two struct fields and this allowlist.
-func TestDeprecatedAliasAudit(t *testing.T) {
-	// Selector uses of the deprecated names. `\.SuperRounds` deliberately
-	// does not match the non-deprecated config bound MaxSuperRounds, and
-	// the Deleted pattern is anchored on a *Stats* receiver so the
-	// []NodeID result field Result.Deleted stays legal.
-	patterns := []*regexp.Regexp{
-		regexp.MustCompile(`\.SuperRounds\b`),
-		regexp.MustCompile(`[sS]tats\.Deleted\b`),
-	}
-	allowed := map[string]bool{
-		"api_test.go":           true, // the alias-sync assertions above
-		"internal/core/core.go": true, // finishResult alias sync writer
-		"internal/dist/dist.go": true, // result() alias sync writer + field decl
-	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if d.Name() == ".git" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || allowed[filepath.ToSlash(path)] {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for i, line := range strings.Split(string(data), "\n") {
-			trimmed := strings.TrimSpace(line)
-			if strings.HasPrefix(trimmed, "//") {
-				continue
-			}
-			for _, re := range patterns {
-				if re.MatchString(line) {
-					t.Errorf("%s:%d: deprecated stats alias in use: %s", path, i+1, trimmed)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

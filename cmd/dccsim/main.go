@@ -49,7 +49,6 @@ func run(args []string, w io.Writer) error {
 		workers  = fs.Int("workers", 0, "concurrent Monte-Carlo runs (0 = all CPUs, 1 = sequential; output is identical for any value)")
 		telOn    = fs.Bool("telemetry", true, "collect metrics and spans while figures run (never changes figure output)")
 		timings  = fs.Bool("timings", true, "print per-figure wall-clock durations (needs -telemetry)")
-		shardN   = fs.Int("shardnodes", 0, "run a shard-engine headline deployment of this many interior nodes after the sharded figure's scaling sweep (0 = sweep only)")
 		metrics  = fs.String("metrics", "", "write the final metrics registry to this file as NDJSON (schema dcc-metrics-v1)")
 		httpAddr = fs.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address while figures run")
 	)
@@ -110,25 +109,8 @@ func run(args []string, w io.Writer) error {
 		{"quasiudg", func() error { _, err := experiments.AblationQuasiUDG(w, cfg); return err }},
 		{"scenarios", func() error { _, err := experiments.ScenarioOracles(w, cfg); return err }},
 		{"stability", func() error { _, err := experiments.ScenarioStability(w, cfg); return err }},
-		{"streaming", func() error {
-			if _, err := experiments.Streaming(w, cfg); err != nil {
-				return err
-			}
-			benchNodes, benchEvents := 300, 400
-			if *full {
-				benchNodes, benchEvents = 1000, 2000
-			}
-			if *nodes > 0 {
-				benchNodes = *nodes
-			}
-			return streamingThroughput(w, reg, *seed, benchNodes, benchEvents)
-		}},
-		{"sharded", func() error {
-			if _, err := experiments.Sharded(w, cfg); err != nil {
-				return err
-			}
-			return shardedScaling(w, reg, *seed, *shardN, *full)
-		}},
+		{"streaming", func() error { _, err := experiments.Streaming(w, cfg); return err }},
+		{"sharded", func() error { _, err := experiments.Sharded(w, cfg); return err }},
 	}
 	ran := 0
 	for _, r := range runners {

@@ -106,7 +106,8 @@ var (
 	ErrNotAchievable = core.ErrNotAchievable
 	// ErrTauTooSmall is wrapped by every scheduling entry point —
 	// ScheduleDCC, ScheduleDCCSharded, ScheduleDCCDistributed, ThinEdges,
-	// Rotate — handed a confine size below the minimum of 3.
+	// Rotate — and by VerifyConfine when handed a confine size below the
+	// minimum of 3.
 	ErrTauTooSmall = core.ErrTauTooSmall
 	// ErrShardedUnsupported is wrapped by ScheduleDCCSharded for
 	// deployment shapes the spatial shard engine cannot partition
@@ -574,7 +575,7 @@ func (d *Deployment) Rotate(tau, epochs int, seed int64) ([]RotationResult, erro
 }
 
 // VerifyConfine checks the global cycle-partition criterion on a reduced
-// graph of this deployment.
+// graph of this deployment; tau below 3 returns a wrapped ErrTauTooSmall.
 func (d *Deployment) VerifyConfine(final *Graph, tau int) (bool, error) {
 	cyc := make([][]NodeID, 0, 1+len(d.InnerCycles))
 	cyc = append(cyc, d.OuterCycle)

@@ -142,50 +142,29 @@ func (eq *ElectionQueue) Push(v graph.NodeID) {
 	heap.Push(&eq.q, prioItem{prio: CanonicalPriority(eq.seed, v), v: v})
 }
 
-// CanonicalElect runs the canonical greedy to fixpoint over cache: internal
-// nodes are tested in increasing (CanonicalPriority, ID) order, a deletable
-// node is committed immediately, and the dirtied survivors re-enter the
-// queue. test supplies the deletability verdict of a node on the current
-// residual — cache.Deletable for the batch engine, the fingerprint-memoized
-// variant for the streaming engine — and MUST equal VertexDeletable on the
-// materialized live graph, or the fixpoint diverges from the canonical one.
-// Returns the deleted nodes in deletion order and the number of tests.
+// CanonicalElect runs the greedy election (see elect) to fixpoint over
+// cache in canonical order: internal nodes are tested in increasing
+// (CanonicalPriority, ID) order, a deletable node is committed
+// immediately, and the dirtied survivors re-enter the queue. test supplies
+// the deletability verdict of a node on the current residual —
+// cache.Deletable for the batch engine, the fingerprint-memoized variant
+// for the streaming engine — and MUST equal VertexDeletable on the
+// materialized live graph, or the fixpoint diverges from the canonical
+// one. Returns the deleted nodes in deletion order and the number of tests.
 //
-// The loop body is shared by both engines on purpose: the convergence
-// contract ("streaming state equals the batch schedule of the materialized
+// The loop is shared by both engines on purpose: the convergence contract
+// ("streaming state equals the batch schedule of the materialized
 // topology") then reduces to the equality of the two verdict functions,
 // which the dccdebug cross-checks and the differential suite verify. The
 // shard engine shares the ElectionQueue instead and batches independent
 // tests (pairwise more than ⌈τ/2⌉ hops apart), which DESIGN.md §15 proves
 // commutes with this sequential loop.
 func CanonicalElect(net Network, seed int64, cache *vpt.Cache, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
-	eq := NewElectionQueue(seed, net.InternalNodes())
-	for {
-		v, ok := eq.Pop()
-		if !ok {
-			break
-		}
-		if !cache.Alive(v) {
-			continue
-		}
-		tests++
-		if !test(v) {
-			continue
-		}
-		deleted = append(deleted, v)
-		for _, w := range cache.Commit([]graph.NodeID{v}) {
-			if !net.Boundary[w] {
-				eq.Push(w)
-			}
-		}
-	}
-	return deleted, tests
+	return elect(net, cache, NewElectionQueue(seed, net.InternalNodes()), test)
 }
 
 func scheduleCanonical(net Network, opts Options) (Result, error) {
 	cache := vpt.NewCache(net.G, opts.Tau)
 	cache.Instrument(opts.Telemetry)
-	deleted, tests := CanonicalElect(net, opts.Seed, cache, cache.Deletable)
-	stats := Stats{Rounds: 1, Tests: tests}
-	return finishResult(net, cache.LiveGraph(), deleted, stats), nil
+	return electResult(net, cache, NewElectionQueue(opts.Seed, net.InternalNodes())), nil
 }

@@ -111,8 +111,12 @@ func BoundaryTarget(g *graph.Graph, boundaryCycles [][]graph.NodeID) (bitvec.Vec
 
 // VerifyConfine checks the global cycle-partition coverage criterion
 // (Propositions 2 and 3): the GF(2) sum of the boundary cycles must be
-// expressible as a sum of cycles of length ≤ tau in g.
+// expressible as a sum of cycles of length ≤ tau in g. A tau below 3 is
+// rejected with a wrapped ErrTauTooSmall.
 func VerifyConfine(g *graph.Graph, boundaryCycles [][]graph.NodeID, tau int) (bool, error) {
+	if tau < 3 {
+		return false, fmt.Errorf("core: tau %d: %w", tau, ErrTauTooSmall)
+	}
 	target, err := BoundaryTarget(g, boundaryCycles)
 	if err != nil {
 		return false, err
@@ -191,15 +195,6 @@ type Stats struct {
 	Tests int
 	// Deletions counts removed nodes.
 	Deletions int
-	// Deleted is the former name of Deletions, kept in sync for one final
-	// release.
-	//
-	// Deprecated: use Deletions. This alias is scheduled for removal in
-	// the next release; no code in this module may read it (the alias
-	// audit in api_test.go fails the build on new internal uses), and the
-	// only writer is the finishResult sync that keeps external readers
-	// working through the deprecation window.
-	Deleted int
 }
 
 // Result is the output of a scheduling run.
@@ -263,7 +258,6 @@ func finishResult(net Network, g *graph.Graph, deleted []graph.NodeID, stats Sta
 		}
 	}
 	stats.Deletions = len(deleted)
-	stats.Deleted = stats.Deletions
 	return Result{
 		Final:        g,
 		Kept:         kept,
@@ -277,38 +271,90 @@ func scheduleSequential(net Network, opts Options) (Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	cache := vpt.NewCache(net.G, opts.Tau)
 	cache.Instrument(opts.Telemetry)
+	order := net.InternalNodes()
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return electResult(net, cache, newFIFOQueue(order)), nil
+}
 
-	queue := net.InternalNodes()
-	rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
-	inQueue := make(map[graph.NodeID]bool, len(queue))
-	for _, v := range queue {
-		inQueue[v] = true
+// workQueue is the node order of the greedy election: Pop returns the next
+// pending node (ok = false once none is left) and marks it not-pending;
+// Push enqueues a node and is a no-op while that node is still pending, so
+// a node is tested at most once per dirtying.
+type workQueue interface {
+	Pop() (v graph.NodeID, ok bool)
+	Push(v graph.NodeID)
+}
+
+// fifoQueue is the first-in-first-out workQueue of the Sequential engine
+// and of Rotate: nodes are tested in their initial order, and dirtied
+// nodes rejoin at the back.
+type fifoQueue struct {
+	q       []graph.NodeID
+	pending map[graph.NodeID]bool
+}
+
+func newFIFOQueue(order []graph.NodeID) *fifoQueue {
+	f := &fifoQueue{q: order, pending: make(map[graph.NodeID]bool, len(order))}
+	for _, v := range order {
+		f.pending[v] = true
 	}
+	return f
+}
 
-	var deleted []graph.NodeID
-	stats := Stats{Rounds: 1}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		inQueue[v] = false
+func (f *fifoQueue) Pop() (graph.NodeID, bool) {
+	if len(f.q) == 0 {
+		return 0, false
+	}
+	v := f.q[0]
+	f.q = f.q[1:]
+	f.pending[v] = false
+	return v, true
+}
+
+func (f *fifoQueue) Push(v graph.NodeID) {
+	if f.pending[v] {
+		return
+	}
+	f.pending[v] = true
+	f.q = append(f.q, v)
+}
+
+// elect is the greedy election every one-node-at-a-time engine runs to
+// fixpoint (Theorem 5): pop the next node, skip it if already deleted, test
+// it, and on a positive verdict commit the deletion and re-push the dirtied
+// non-boundary survivors. Commit invalidates exactly the ≤ k-hop ball
+// around the deleted node — the nodes whose Γ^k contained it — so only
+// those can change verdict. The engines differ only in q's order; test
+// supplies the verdict of a node on the current residual and must equal
+// VertexDeletable on the live graph. Returns the deleted nodes in deletion
+// order and the number of tests.
+func elect(net Network, cache *vpt.Cache, q workQueue, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
+	for {
+		v, ok := q.Pop()
+		if !ok {
+			return deleted, tests
+		}
 		if !cache.Alive(v) {
 			continue
 		}
-		stats.Tests++
-		if !cache.Deletable(v) {
+		tests++
+		if !test(v) {
 			continue
 		}
 		deleted = append(deleted, v)
-		// Commit invalidates exactly the ≤ k-hop ball around v — the nodes
-		// whose Γ^k contained v — and returns them for retesting.
 		for _, w := range cache.Commit([]graph.NodeID{v}) {
-			if !net.Boundary[w] && !inQueue[w] {
-				inQueue[w] = true
-				queue = append(queue, w)
+			if !net.Boundary[w] {
+				q.Push(w)
 			}
 		}
 	}
-	return finishResult(net, cache.LiveGraph(), deleted, stats), nil
+}
+
+// electResult runs elect over q with the cache's own verdicts and
+// assembles the Result.
+func electResult(net Network, cache *vpt.Cache, q workQueue) Result {
+	deleted, tests := elect(net, cache, q, cache.Deletable)
+	return finishResult(net, cache.LiveGraph(), deleted, Stats{Rounds: 1, Tests: tests})
 }
 
 // testChunk is the fan-out batch size for cache-miss deletability tests in
@@ -317,7 +363,7 @@ func scheduleSequential(net Network, opts Options) (Result, error) {
 // identical for every Options.Workers value. Batching matters on the pool:
 // a single test is microseconds on dense patches, and dispatching each one
 // as its own pool task made the parallel engine slower than sequential
-// (the 0.94× inversion recorded in BENCH_parallel.json).
+// (a 0.94× inversion measured on the Figure 3 workload before batching).
 const testChunk = 16
 
 // testKit is the per-worker scratch bundle for batched deletability tests.

@@ -113,37 +113,10 @@ func scheduleBiased(net Network, opts Options, duty map[graph.NodeID]int, salt i
 	}
 	rng := rand.New(rand.NewSource(runner.DeriveSeed(opts.Seed, streamBiasedShuffle, int(salt))))
 	cache := vpt.NewCache(net.G, opts.Tau)
-
-	queue := net.InternalNodes()
-	rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
-	sort.SliceStable(queue, func(i, j int) bool {
-		return duty[queue[i]] > duty[queue[j]]
+	order := net.InternalNodes()
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	sort.SliceStable(order, func(i, j int) bool {
+		return duty[order[i]] > duty[order[j]]
 	})
-	inQueue := make(map[graph.NodeID]bool, len(queue))
-	for _, v := range queue {
-		inQueue[v] = true
-	}
-
-	var deleted []graph.NodeID
-	stats := Stats{Rounds: 1}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		inQueue[v] = false
-		if !cache.Alive(v) {
-			continue
-		}
-		stats.Tests++
-		if !cache.Deletable(v) {
-			continue
-		}
-		deleted = append(deleted, v)
-		for _, w := range cache.Commit([]graph.NodeID{v}) {
-			if !net.Boundary[w] && !inQueue[w] {
-				inQueue[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	return finishResult(net, cache.LiveGraph(), deleted, stats), nil
+	return electResult(net, cache, newFIFOQueue(order)), nil
 }

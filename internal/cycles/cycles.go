@@ -243,97 +243,6 @@ func MinMaxIrreducible(g *graph.Graph) (minLen, maxLen int, err error) {
 	return basis[0].Len(), basis[len(basis)-1].Len(), nil
 }
 
-// ShortSpan is the echelon of all candidate cycles of length ≤ tau,
-// pre-reduced so that membership queries are cheap.
-type ShortSpan struct {
-	g    *graph.Graph
-	tau  int
-	ech  *bitvec.Echelon
-	full bool // rank reached ν: the short cycles span the whole cycle space
-}
-
-// NewShortSpan builds the complete span of cycles of length ≤ tau in g
-// (insertion stops early only once the span already covers the full cycle
-// space, which loses nothing). Triangles are inserted first, enumerated
-// directly by adjacency intersection: in the dense unit-disk patches the
-// void-preserving transformation tests, triangles alone usually reach full
-// rank, making the much heavier Horton candidate generation unnecessary.
-func NewShortSpan(g *graph.Graph, tau int) *ShortSpan {
-	m := g.NumEdges()
-	nu := g.CycleSpaceDim()
-	s := &ShortSpan{g: g, tau: tau, ech: bitvec.NewEchelon(m)}
-	if nu == 0 {
-		s.full = true
-		return s
-	}
-	if tau >= 3 {
-		scratch := bitvec.New(m)
-		full := false
-		forEachTriangle(g, func(e1, e2, e3 int) bool {
-			scratch.Set(e1, true)
-			scratch.Set(e2, true)
-			scratch.Set(e3, true)
-			if _, taken := s.ech.InsertOwned(scratch); taken {
-				if s.ech.Rank() == nu {
-					full = true
-					return false
-				}
-				scratch = bitvec.New(m)
-			}
-			// A rejected scratch comes back zeroed by the reduction.
-			return true
-		})
-		if full {
-			s.full = true
-			return s
-		}
-		if tau == 3 {
-			return s
-		}
-	}
-	scratch := bitvec.New(m)
-	for _, c := range Candidates(g, tau) {
-		for _, e := range c.edges {
-			scratch.Set(int(e), true)
-		}
-		if _, taken := s.ech.InsertOwned(scratch); taken {
-			scratch = bitvec.New(m)
-			if s.ech.Rank() == nu {
-				s.full = true
-				break
-			}
-		}
-	}
-	return s
-}
-
-// forEachTriangle enumerates each 3-clique of g once (by edge indices),
-// stopping when fn returns false. It delegates to the graph package's
-// dense, allocation-free merge-intersection enumerator.
-func forEachTriangle(g *graph.Graph, fn func(e1, e2, e3 int) bool) {
-	g.ForEachTriangle(func(e1, e2, e3 int32) bool {
-		return fn(int(e1), int(e2), int(e3))
-	})
-}
-
-// SpansAll reports whether cycles of length ≤ tau span the entire cycle
-// space of g — equivalently (Theorem 4 + Chickering), whether the maximum
-// irreducible cycle of g has length ≤ tau.
-func (s *ShortSpan) SpansAll() bool { return s.full }
-
-// Contains reports whether the target incidence vector lies in the span,
-// i.e. whether target is τ-partitionable in g (Definitions 2 and 3).
-func (s *ShortSpan) Contains(target bitvec.Vector) bool {
-	return s.ech.Spans(target)
-}
-
-// Residue returns the part of the target not expressible by cycles of
-// length ≤ τ — the obstruction witness (zero iff Contains). Useful for
-// diagnosing where a network fails the coverage criterion.
-func (s *ShortSpan) Residue(target bitvec.Vector) bitvec.Vector {
-	return s.ech.Reduce(target)
-}
-
 // SpannedByShort reports whether the cycle space of g is generated by
 // cycles of length ≤ tau. This is the core test of the void-preserving
 // transformation (Definition 5): it holds iff the maximum irreducible cycle
@@ -344,9 +253,13 @@ func SpannedByShort(g *graph.Graph, tau int) bool {
 
 // Partitionable reports whether the target vector (typically the GF(2) sum
 // of the boundary cycles) is expressible as a sum of cycles of length
-// ≤ tau in g. This is the coverage criterion of Propositions 2 and 3.
+// ≤ tau in g. This is the coverage criterion of Propositions 2 and 3. A tau
+// below 3 admits no cycle, so only the zero target qualifies.
 func Partitionable(g *graph.Graph, target bitvec.Vector, tau int) bool {
-	return NewShortSpan(g, tau).Contains(target)
+	ws := NewWorkspace()
+	// No early abort: a target can lie in a span short of the full space.
+	ws.spansAll(g, tau, false)
+	return ws.ech.Spans(target)
 }
 
 // FindPartition returns an explicit cycle partition of the target using

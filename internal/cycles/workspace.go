@@ -28,31 +28,30 @@ func NewWorkspace() *Workspace {
 func SpannedByShortWS(g *graph.Graph, tau int, ws *Workspace) bool {
 	// Trees carry no cycles; restricting to the 2-core preserves the cycle
 	// space while shrinking the candidate generation work.
-	return ws.spansAll(g.TwoCore(), tau)
+	return ws.spansAll(g.TwoCore(), tau, true)
 }
 
-// spansAll reports whether cycles of length ≤ tau span the entire cycle
-// space of core (assumed 2-core-reduced). Triangles are inserted straight
-// from the adjacency intersection first — in the dense unit-disk patches
-// the deletability test sees, they usually reach full rank on their own —
-// then the remaining Horton candidates are gathered into the arena (no
-// per-candidate copies or sorting: span membership is order-independent)
-// and eliminated with the same cannot-reach-rank early abort the batch
-// builder uses.
-func (ws *Workspace) spansAll(core *graph.Graph, tau int) bool {
-	nu := core.CycleSpaceDim()
-	if nu == 0 {
-		return true
+// spansAll resets ws's echelon to g's edge space, inserts the cycles of
+// length ≤ tau of g, and reports whether they span the entire cycle space.
+// Triangles are inserted straight from the adjacency intersection first —
+// in the dense unit-disk patches the deletability test sees, they usually
+// reach full rank on their own — then the remaining Horton candidates are
+// gathered into the arena (no per-candidate copies or sorting: span
+// membership is order-independent) and eliminated. Insertion stops once
+// the rank reaches ν, which loses nothing. With abort set it also stops as
+// soon as even a fully independent tail of candidates could not reach ν;
+// the echelon then holds a partial span, so a caller that tests a specific
+// target against ws.ech must not set it.
+func (ws *Workspace) spansAll(g *graph.Graph, tau int, abort bool) bool {
+	nu := g.CycleSpaceDim()
+	ws.ech.Reset(g.NumEdges())
+	if nu == 0 || tau < 3 {
+		return nu == 0
 	}
-	if tau < 3 {
-		return false
-	}
-	m := core.NumEdges()
-	ws.ech.Reset(m)
 	ech := ws.ech
 	scratch := ech.TakeScratch()
 	full := false
-	core.ForEachTriangle(func(e1, e2, e3 int32) bool {
+	g.ForEachTriangle(func(e1, e2, e3 int32) bool {
 		scratch.Set(int(e1), true)
 		scratch.Set(int(e2), true)
 		scratch.Set(int(e3), true)
@@ -68,12 +67,12 @@ func (ws *Workspace) spansAll(core *graph.Graph, tau int) bool {
 	})
 	if full || tau == 3 {
 		// For τ=3 the triangles are the only generators ≤ τ (every 3-cycle
-		// is a 3-clique), so the verdict is already decided.
+		// is a 3-clique), so the span is already complete.
 		return full
 	}
 	ws.offs = ws.offs[:0]
 	ws.arena = ws.arena[:0]
-	core.ForEachHortonCandidate(tau, func(_ graph.NodeID, _ int, edges []int32) bool {
+	g.ForEachHortonCandidate(tau, func(_ graph.NodeID, _ int, edges []int32) bool {
 		ws.offs = append(ws.offs, int32(len(ws.arena)))
 		ws.arena = append(ws.arena, edges...)
 		return true
@@ -81,7 +80,7 @@ func (ws *Workspace) spansAll(core *graph.Graph, tau int) bool {
 	ws.offs = append(ws.offs, int32(len(ws.arena)))
 	ncand := len(ws.offs) - 1
 	for i := 0; i < ncand; i++ {
-		if ech.Rank()+(ncand-i) < nu {
+		if abort && ech.Rank()+(ncand-i) < nu {
 			return false // even a fully independent tail cannot reach ν
 		}
 		for _, e := range ws.arena[ws.offs[i]:ws.offs[i+1]] {

@@ -88,17 +88,6 @@ type Stats struct {
 	// Rounds counts deletion iterations (the vocabulary shared with the
 	// centralized scheduler's Stats).
 	Rounds int
-	// SuperRounds is the former name of Rounds, kept in sync for one
-	// final release.
-	//
-	// Deprecated: use Rounds. This alias is scheduled for removal in the
-	// next release; no code in this module may read it (the alias audit
-	// in api_test.go fails the build on new internal uses), and the only
-	// writer is the result() sync that keeps external readers working
-	// through the deprecation window. MaxSuperRounds (the config bound)
-	// is a different, non-deprecated name: a "super-round" remains the
-	// protocol's unit of progress, only the stats vocabulary is unified.
-	SuperRounds int
 	// Deletions counts nodes removed by the protocol.
 	Deletions int
 	// Tests counts local deletability evaluations.
@@ -849,7 +838,6 @@ func (r *runtime) result() Result {
 			internal = append(internal, v)
 		}
 	}
-	r.stats.SuperRounds = r.stats.Rounds // deprecated alias, synced for one final release
 	r.stats.Deletions = len(r.deleted)
 	return Result{
 		Final:        final,

@@ -30,11 +30,12 @@ import (
 //     order. A deletion is committed to every member region (the
 //     halo-delta exchange); the regions' dirty sets union to exactly the
 //     global dirty set, whose non-boundary members re-enter the queue.
-//     Before consuming the next member the coordinator peeks the queue:
-//     if a freshly dirtied node outranks the member, the sequential
-//     engine would have tested that node first, so the remaining members
-//     are deferred (their speculative verdicts are discarded — not
-//     counted) and a new batch forms. DESIGN.md §15 walks the induction.
+//     Before consuming every member after the first, the coordinator
+//     peeks the queue: if a freshly dirtied node outranks the member, the
+//     sequential engine would have tested that node first, so that member
+//     and the rest of the batch are deferred (their speculative verdicts
+//     are discarded — not counted) and a new batch forms. DESIGN.md §15
+//     walks the induction.
 //
 // maxBatch caps speculation per wave; any cap preserves the replay
 // argument, it only bounds wasted verdicts when a batch aborts.
@@ -97,6 +98,20 @@ func (e *engine) elect() ([]graph.NodeID, int, error) {
 
 		// Replay + arbitrate.
 		for bi, c := range batch {
+			// A node dirtied by an earlier deletion of this batch may
+			// outrank c: the sequential engine would test it first, so c
+			// and the rest of the batch are deferred. The check runs for
+			// every member, since a non-deletable member in between
+			// dirties nothing and leaves the queue head in place.
+			if bi > 0 {
+				if p, w, ok := eq.Peek(); ok && (p < c.prio || (p == c.prio && w < c.v)) {
+					for _, r := range batch[bi:] {
+						eq.Push(r.v)
+						e.stats.Deferred++
+					}
+					break
+				}
+			}
 			tests++
 			if !verdict[bi] {
 				continue
@@ -107,19 +122,6 @@ func (e *engine) elect() ([]graph.NodeID, int, error) {
 				if !e.in.Boundary[w] {
 					eq.Push(w)
 				}
-			}
-			if bi+1 == len(batch) {
-				break
-			}
-			next := batch[bi+1]
-			if p, w, ok := eq.Peek(); ok && (p < next.prio || (p == next.prio && w < next.v)) {
-				// A dirtied node outranks the rest of the batch: defer the
-				// unconsumed members so the canonical order stays exact.
-				for _, r := range batch[bi+1:] {
-					eq.Push(r.v)
-					e.stats.Deferred++
-				}
-				break
 			}
 		}
 	}

@@ -357,7 +357,6 @@ func (e *engine) assemble(deleted []graph.NodeID, tests int) core.Result {
 			Rounds:    1,
 			Tests:     tests,
 			Deletions: len(deleted),
-			Deleted:   len(deleted),
 		},
 	}
 }

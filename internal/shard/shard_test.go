@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -47,7 +48,6 @@ func canonicalResult(t *testing.T, in Input, tau int, seed int64) core.Result {
 			Rounds:    1,
 			Tests:     tests,
 			Deletions: len(deleted),
-			Deleted:   len(deleted),
 		},
 	}
 }
@@ -96,6 +96,24 @@ func TestScheduleMatchesCanonical(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestReplayDefersAfterNonDeletable: a deletion can dirty a node that
+// outranks several later batch members, and the member right after the
+// deletion may test non-deletable. The replay must still defer every
+// member the dirtied node outranks, not only the one that follows the
+// deletion. This deployment consumes a member too early without that.
+func TestReplayDefersAfterNonDeletable(t *testing.T) {
+	const tau, seed = 4, 14
+	in := UniformInput(seed, 1000, math.Sqrt(1000*math.Pi/8), 1)
+	want := canonicalResult(t, in, tau, seed)
+	for _, shards := range []int{1, 4} {
+		got, _ := mustSchedule(t, in, Options{Tau: tau, Seed: seed, Shards: shards})
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("shards=%d: result differs from canonical\nwant stats %+v\ngot  stats %+v",
+				shards, want.Stats, got.Stats)
 		}
 	}
 }

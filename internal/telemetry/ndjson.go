@@ -8,7 +8,7 @@ import (
 	"io"
 )
 
-// The NDJSON export schema, versioned so downstream tooling (bench.sh,
+// The NDJSON export schema, versioned so downstream tooling (scripts,
 // dashboards) can detect incompatible changes. One JSON object per line,
 // sorted by series name; scalar series carry "value", histograms carry
 // count/sum/min/max plus the bucket layout. Field sets are additive within

@@ -1,9 +1,10 @@
 #!/bin/sh
-# Pre-PR gate: formatting, vet, build, determinism lint, race detector,
-# the dccdebug deep-assertion test run, a repeated race run of the worker
-# pool, a chaos smoke (fault-injection matrix under race + deep
-# assertions), and a short fuzz smoke of every fuzz target. Everything
-# here must pass before a change ships (see README "Development").
+# Pre-PR gate: formatting, vet, build, determinism lint, the benchmark
+# module's own format/vet/lint/tests, race detector, the dccdebug
+# deep-assertion test run, a repeated race run of the worker pool, a chaos
+# smoke (fault-injection matrix under race + deep assertions), and a short
+# fuzz smoke of every fuzz target. Everything here must pass before a
+# change ships (see README "Development").
 set -e
 cd "$(dirname "$0")/.."
 
@@ -26,6 +27,11 @@ go build ./...
 
 echo '== dcclint'
 go run ./cmd/dcclint ./...
+
+echo '== bench module (gofmt, vet, dcclint, tests)'
+# bench/ is its own Go module (replace dcc => ../), so the root ./...
+# patterns above do not reach it.
+(cd bench && test -z "$(gofmt -l .)" && go vet ./... && go run ../cmd/dcclint ./... && go test ./...)
 
 echo '== go test -race'
 go test -race -timeout 30m ./...
