@@ -2,6 +2,7 @@ package dcc
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -58,6 +59,34 @@ func TestSentinelErrorsWrapped(t *testing.T) {
 	for _, tau := range []int{-1, 0, 2} {
 		if _, err := dep.VerifyConfine(dep.G, tau); !errors.Is(err, ErrTauTooSmall) {
 			t.Fatalf("VerifyConfine(tau=%d) err = %v, want errors.Is ErrTauTooSmall", tau, err)
+		}
+	}
+
+	// Deploy validates its options at the boundary: each of these used to
+	// panic deep in the generator, deploy a nonsensical network, or fail
+	// with a misleading downstream error.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		opts DeployOptions
+	}{
+		{"Nodes=0", DeployOptions{}},
+		{"Nodes=-3", DeployOptions{Nodes: -3}},
+		{"Rc=-1", DeployOptions{Nodes: 50, Rc: -1}},
+		{"Rc=NaN", DeployOptions{Nodes: 50, Rc: nan}},
+		{"Rc=+Inf", DeployOptions{Nodes: 50, Rc: inf}},
+		{"AvgDegree=-5", DeployOptions{Nodes: 50, AvgDegree: -5}},
+		{"AvgDegree=+Inf", DeployOptions{Nodes: 50, AvgDegree: inf}},
+		{"Gamma=-2", DeployOptions{Nodes: 50, Gamma: -2}},
+		{"Gamma=NaN", DeployOptions{Nodes: 50, Gamma: nan}},
+		{"BandWidth=-0.5", DeployOptions{Nodes: 50, BandWidth: -0.5}},
+		{"QuasiInner=-1", DeployOptions{Nodes: 50, Model: QuasiUDG, QuasiInner: -1}},
+		{"QuasiInner=1.5", DeployOptions{Nodes: 50, Model: QuasiUDG, QuasiInner: 1.5}},
+		{"QuasiP=2", DeployOptions{Nodes: 50, QuasiP: 2}},
+		{"QuasiP=NaN", DeployOptions{Nodes: 50, Model: QuasiUDG, QuasiP: nan}},
+	} {
+		if _, err := Deploy(tc.opts); !errors.Is(err, ErrInvalidDeployOptions) {
+			t.Errorf("Deploy(%s) err = %v, want errors.Is ErrInvalidDeployOptions", tc.name, err)
 		}
 	}
 }

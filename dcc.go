@@ -76,7 +76,9 @@ type (
 	// contract of DESIGN.md §14.
 	Telemetry = telemetry.Registry
 	// ShardStats counts the work a sharded schedule performed (regions,
-	// replicas, batches, halo deltas) alongside the ScheduleResult.
+	// replicas, tests, halo deltas) alongside the ScheduleResult. Its
+	// Batches and Deferred fields always read 0: the coordinator runs the
+	// canonical loop one test at a time.
 	ShardStats = shard.Stats
 )
 
@@ -115,6 +117,11 @@ var (
 	// position-less virtual apexes) and graphs with links longer than Rc
 	// (the halo invariant is geometric). Fall back to ScheduleDCC.
 	ErrShardedUnsupported = errors.New("dcc: deployment not supported by the sharded engine")
+	// ErrInvalidDeployOptions is wrapped by Deploy for options outside
+	// their domain: Nodes ≤ 0; an AvgDegree, Rc, Gamma or BandWidth that
+	// is negative or not finite; a QuasiInner or QuasiP that is not
+	// finite or lies outside [0, 1]. Zero still selects a field's default.
+	ErrInvalidDeployOptions = errors.New("dcc: invalid deployment options")
 )
 
 // DeriveSeed deterministically derives an independent sub-seed from a base
@@ -196,7 +203,26 @@ type DeployOptions struct {
 
 func (o DeployOptions) withDefaults() (DeployOptions, error) {
 	if o.Nodes <= 0 {
-		return o, errors.New("dcc: Nodes must be positive")
+		return o, fmt.Errorf("%w: Nodes %d must be positive", ErrInvalidDeployOptions, o.Nodes)
+	}
+	for _, f := range []struct {
+		name     string
+		v        float64
+		fraction bool // must lie in [0, 1]
+	}{
+		{"AvgDegree", o.AvgDegree, false},
+		{"Rc", o.Rc, false},
+		{"Gamma", o.Gamma, false},
+		{"BandWidth", o.BandWidth, false},
+		{"QuasiInner", o.QuasiInner, true},
+		{"QuasiP", o.QuasiP, true},
+	} {
+		switch {
+		case math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0:
+			return o, fmt.Errorf("%w: %s %v must be finite and non-negative", ErrInvalidDeployOptions, f.name, f.v)
+		case f.fraction && f.v > 1:
+			return o, fmt.Errorf("%w: %s %v must lie in [0, 1]", ErrInvalidDeployOptions, f.name, f.v)
+		}
 	}
 	if o.AvgDegree == 0 {
 		o.AvgDegree = 25
@@ -485,14 +511,16 @@ func (d *Deployment) ScheduleDCC(tau int, opts ScheduleOptions) (ScheduleResult,
 // ScheduleDCCSharded computes the same τ-confine coverage set through
 // the spatial shard engine: the deployment is partitioned into grid
 // regions with ⌈τ/2⌉-hop halos, each region holds only its local
-// subgraph, and a coordinator replays the canonical election across
-// regions (internal/shard; DESIGN.md §15). The schedule equals the
-// canonical-mode centralized engine byte-for-byte and is invariant
-// under Workers, Shards and HaloHops — sharding changes how far the
-// deployment can scale (millions of nodes on one box), never what is
-// elected. Note the engine's deletion order is the canonical priority
-// order, not ScheduleDCC's seed-shuffled order, so results match across
-// shard counts and runs, not ScheduleDCC's output.
+// subgraph, and the canonical election loop runs over the regions: a
+// node is tested on its owner region, and a deletion is sent to every
+// region holding a copy (internal/shard; DESIGN.md §15). The schedule
+// equals the canonical-mode centralized engine byte-for-byte and is
+// invariant under Workers, Shards and HaloHops — sharding changes how
+// far the deployment can scale (millions of nodes on one box), never
+// what is elected. Workers parallelise the region build only; the
+// election is sequential. Note the engine's deletion order is the
+// canonical priority order, not ScheduleDCC's seed-shuffled order, so
+// results match across shard counts and runs, not ScheduleDCC's output.
 //
 // Multiply-connected deployments (obstacles) are rejected with
 // ErrShardedUnsupported: their repair introduces virtual apex nodes

@@ -257,6 +257,12 @@ func (e *Echelon) TakeScratch() Vector {
 	return New(e.n)
 }
 
+// Recycle hands v back to the row recycler: the caller gives up a vector
+// the echelon did not keep (a TakeScratch vector InsertOwned rejected) and
+// must stop using it. Without it every such vector is garbage, and the
+// next TakeScratch allocates.
+func (e *Echelon) Recycle(v Vector) { e.free = append(e.free, v.words) }
+
 // Rank returns the number of independent vectors inserted so far.
 func (e *Echelon) Rank() int { return e.rank }
 

@@ -62,24 +62,23 @@ func (q *prioQueue) Pop() any {
 	return it
 }
 
-// ElectionQueue is the canonical election's work queue: a min-heap over
+// electionQueue is the canonical election's workQueue: a min-heap over
 // (CanonicalPriority, ID) with pending-set deduplication. Popping a node
-// marks it not-pending; pushing a node that is already pending is a no-op,
-// so a node is tested at most once per dirtying no matter how many commits
-// touched its neighbourhood. Exported so the spatial shard engine
-// (internal/shard) provably consumes nodes in the exact order the
-// unsharded CanonicalElect does — the queue is the shared definition of
-// "canonical order", not a convention.
-type ElectionQueue struct {
+// marks it not-pending; pushing a node that is already pending, or that
+// the queue was not seeded with, is a no-op, so a candidate is tested at
+// most once per dirtying no matter how many commits touched its
+// neighbourhood. The priority is a pure function of (seed, ID), so a
+// re-pushed node re-enters at exactly its canonical position.
+type electionQueue struct {
 	seed    int64
 	q       prioQueue
-	pending map[graph.NodeID]bool
+	pending map[graph.NodeID]bool // key present ⇔ candidate
 }
 
-// NewElectionQueue returns a queue seeded with the given nodes, all
+// newElectionQueue returns a queue seeded with the given candidates, all
 // pending.
-func NewElectionQueue(seed int64, nodes []graph.NodeID) *ElectionQueue {
-	eq := &ElectionQueue{
+func newElectionQueue(seed int64, nodes []graph.NodeID) *electionQueue {
+	eq := &electionQueue{
 		seed:    seed,
 		q:       make(prioQueue, 0, len(nodes)),
 		pending: make(map[graph.NodeID]bool, len(nodes)),
@@ -92,14 +91,10 @@ func NewElectionQueue(seed int64, nodes []graph.NodeID) *ElectionQueue {
 	return eq
 }
 
-// Len returns the number of heap entries (stale entries included); zero
-// means the election has reached its fixpoint.
-func (eq *ElectionQueue) Len() int { return eq.q.Len() }
-
 // Pop returns the pending node with the smallest (priority, ID), marking
 // it not-pending, with ok = false when the queue is exhausted. Stale
 // entries (popped nodes re-tested since their last dirtying) are skipped.
-func (eq *ElectionQueue) Pop() (v graph.NodeID, ok bool) {
+func (eq *electionQueue) Pop() (v graph.NodeID, ok bool) {
 	for eq.q.Len() > 0 {
 		it := heap.Pop(&eq.q).(prioItem)
 		if !eq.pending[it.v] {
@@ -111,31 +106,10 @@ func (eq *ElectionQueue) Pop() (v graph.NodeID, ok bool) {
 	return 0, false
 }
 
-// Peek returns the smallest pending (priority, node) without consuming
-// it, with ok = false when the queue is exhausted. Stale heap entries are
-// discarded on the way. The shard coordinator uses Peek to validate batch
-// replay: a speculatively popped node may only be consumed while no
-// pending node orders before it — otherwise the sequential engine would
-// have popped the pending node first, and the batch member is deferred.
-func (eq *ElectionQueue) Peek() (prio uint64, v graph.NodeID, ok bool) {
-	for eq.q.Len() > 0 {
-		it := eq.q[0]
-		if !eq.pending[it.v] {
-			heap.Pop(&eq.q)
-			continue
-		}
-		return it.prio, it.v, true
-	}
-	return 0, 0, false
-}
-
-// Push marks v pending and enqueues it at its canonical priority; a no-op
-// if v is already pending. Used both to re-enqueue dirtied survivors and
-// to defer a popped node whose test must wait (the shard coordinator's
-// conflict push-back) — the priority is a pure function of (seed, ID), so
-// a deferred node re-enters at exactly its canonical position.
-func (eq *ElectionQueue) Push(v graph.NodeID) {
-	if eq.pending[v] {
+// Push marks the candidate v pending and enqueues it at its canonical
+// priority; a no-op if v is already pending or not a candidate.
+func (eq *electionQueue) Push(v graph.NodeID) {
+	if pending, ok := eq.pending[v]; !ok || pending {
 		return
 	}
 	eq.pending[v] = true
@@ -152,19 +126,26 @@ func (eq *ElectionQueue) Push(v graph.NodeID) {
 // materialized live graph, or the fixpoint diverges from the canonical
 // one. Returns the deleted nodes in deletion order and the number of tests.
 //
-// The loop is shared by both engines on purpose: the convergence contract
+// The loop is shared by every engine on purpose: the convergence contract
 // ("streaming state equals the batch schedule of the materialized
 // topology") then reduces to the equality of the two verdict functions,
-// which the dccdebug cross-checks and the differential suite verify. The
-// shard engine shares the ElectionQueue instead and batches independent
-// tests (pairwise more than ⌈τ/2⌉ hops apart), which DESIGN.md §15 proves
-// commutes with this sequential loop.
+// which the dccdebug cross-checks and the differential suite verify.
 func CanonicalElect(net Network, seed int64, cache *vpt.Cache, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
-	return elect(net, cache, NewElectionQueue(seed, net.InternalNodes()), test)
+	return CanonicalElectOver(cache, seed, net.InternalNodes(), test)
+}
+
+// CanonicalElectOver is CanonicalElect over any residual: the candidates
+// (the internal nodes; dirtied nodes outside them are never tested) are
+// tested in increasing (CanonicalPriority, ID) order with test, and
+// deletions are committed to res. The shard engine runs it over its
+// regions (internal/shard), so the sharded and unsharded schedules are the
+// same loop by construction.
+func CanonicalElectOver(res Residual, seed int64, candidates []graph.NodeID, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
+	return elect(res, newElectionQueue(seed, candidates), test)
 }
 
 func scheduleCanonical(net Network, opts Options) (Result, error) {
 	cache := vpt.NewCache(net.G, opts.Tau)
 	cache.Instrument(opts.Telemetry)
-	return electResult(net, cache, NewElectionQueue(opts.Seed, net.InternalNodes())), nil
+	return electResult(net, cache, newElectionQueue(opts.Seed, net.InternalNodes())), nil
 }

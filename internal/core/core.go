@@ -276,10 +276,12 @@ func scheduleSequential(net Network, opts Options) (Result, error) {
 	return electResult(net, cache, newFIFOQueue(order)), nil
 }
 
-// workQueue is the node order of the greedy election: Pop returns the next
-// pending node (ok = false once none is left) and marks it not-pending;
-// Push enqueues a node and is a no-op while that node is still pending, so
-// a node is tested at most once per dirtying.
+// workQueue is the node order of the greedy election over a fixed set of
+// candidates, the nodes it was seeded with: Pop returns the next pending
+// candidate (ok = false once none is left) and marks it not-pending; Push
+// re-enqueues a candidate and is a no-op while that candidate is still
+// pending, so a node is tested at most once per dirtying. Pushing a node
+// outside the candidate set (a boundary node) is a no-op too.
 type workQueue interface {
 	Pop() (v graph.NodeID, ok bool)
 	Push(v graph.NodeID)
@@ -290,7 +292,7 @@ type workQueue interface {
 // nodes rejoin at the back.
 type fifoQueue struct {
 	q       []graph.NodeID
-	pending map[graph.NodeID]bool
+	pending map[graph.NodeID]bool // key present ⇔ candidate
 }
 
 func newFIFOQueue(order []graph.NodeID) *fifoQueue {
@@ -312,29 +314,42 @@ func (f *fifoQueue) Pop() (graph.NodeID, bool) {
 }
 
 func (f *fifoQueue) Push(v graph.NodeID) {
-	if f.pending[v] {
+	if pending, ok := f.pending[v]; !ok || pending {
 		return
 	}
 	f.pending[v] = true
 	f.q = append(f.q, v)
 }
 
+// Residual is the live graph the greedy election deletes from. Alive
+// reports whether v is still live. Commit deletes the given live nodes and
+// returns, in increasing ID order, the live nodes whose verdict may have
+// changed: those within ⌈τ/2⌉ hops of a deleted node. It must not retain
+// the slice. *vpt.Cache is the residual of every in-memory engine; the
+// shard engine (internal/shard) implements it over its regions' caches.
+type Residual interface {
+	Alive(v graph.NodeID) bool
+	Commit(deleted []graph.NodeID) []graph.NodeID
+}
+
 // elect is the greedy election every one-node-at-a-time engine runs to
-// fixpoint (Theorem 5): pop the next node, skip it if already deleted, test
-// it, and on a positive verdict commit the deletion and re-push the dirtied
-// non-boundary survivors. Commit invalidates exactly the ≤ k-hop ball
-// around the deleted node — the nodes whose Γ^k contained it — so only
-// those can change verdict. The engines differ only in q's order; test
-// supplies the verdict of a node on the current residual and must equal
+// fixpoint (Theorem 5): pop the next candidate, skip it if already
+// deleted, test it, and on a positive verdict commit the deletion and
+// re-push the dirtied survivors (q ignores the boundary nodes among them).
+// Commit invalidates exactly the ≤ k-hop ball around the deleted node —
+// the nodes whose Γ^k contained it — so only those can change verdict.
+// The engines differ only in q's order and in the residual; test supplies
+// the verdict of a node on the current residual and must equal
 // VertexDeletable on the live graph. Returns the deleted nodes in deletion
 // order and the number of tests.
-func elect(net Network, cache *vpt.Cache, q workQueue, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
+func elect(res Residual, q workQueue, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
+	one := make([]graph.NodeID, 1)
 	for {
 		v, ok := q.Pop()
 		if !ok {
 			return deleted, tests
 		}
-		if !cache.Alive(v) {
+		if !res.Alive(v) {
 			continue
 		}
 		tests++
@@ -342,10 +357,9 @@ func elect(net Network, cache *vpt.Cache, q workQueue, test func(v graph.NodeID)
 			continue
 		}
 		deleted = append(deleted, v)
-		for _, w := range cache.Commit([]graph.NodeID{v}) {
-			if !net.Boundary[w] {
-				q.Push(w)
-			}
+		one[0] = v
+		for _, w := range res.Commit(one) {
+			q.Push(w)
 		}
 	}
 }
@@ -353,7 +367,7 @@ func elect(net Network, cache *vpt.Cache, q workQueue, test func(v graph.NodeID)
 // electResult runs elect over q with the cache's own verdicts and
 // assembles the Result.
 func electResult(net Network, cache *vpt.Cache, q workQueue) Result {
-	deleted, tests := elect(net, cache, q, cache.Deletable)
+	deleted, tests := elect(cache, q, cache.Deletable)
 	return finishResult(net, cache.LiveGraph(), deleted, Stats{Rounds: 1, Tests: tests})
 }
 

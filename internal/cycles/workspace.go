@@ -5,30 +5,34 @@ import (
 	"dcc/internal/graph"
 )
 
-// Workspace holds reusable GF(2) elimination state for repeated short-span
-// tests: the echelon (with its recycled row storage) and a flat arena for
-// the Horton candidates of the current graph. A Workspace amortizes the
-// per-test allocations of SpannedByShort across the thousands of
-// deletability evaluations a scheduling run performs; it is NOT safe for
-// concurrent use — give each worker its own.
+// Workspace holds reusable state for repeated short-span tests: the
+// echelon (with its recycled row storage), a flat arena for the Horton
+// candidates of the current graph, the 2-core graph under test and the
+// graph scratch of the 2-core peel, component count and Horton search. A
+// warm Workspace makes SpannedByShortWS allocation-free across the
+// thousands of deletability evaluations a scheduling run performs; it is
+// NOT safe for concurrent use — give each worker its own.
 type Workspace struct {
 	ech   *bitvec.Echelon
 	offs  []int32 // candidate i occupies arena[offs[i]:offs[i+1]]
 	arena []int32 // concatenated candidate edge lists
+	s     *graph.Scratch
+	core  graph.GraphBuf // the 2-core under test, valid until the next test
 }
 
 // NewWorkspace returns an empty Workspace.
 func NewWorkspace() *Workspace {
-	return &Workspace{ech: bitvec.NewEchelon(0)}
+	return &Workspace{ech: bitvec.NewEchelon(0), s: graph.NewScratch(nil)}
 }
 
 // SpannedByShortWS is SpannedByShort evaluated with ws's reusable buffers —
-// same verdict, amortized allocations. This is the form the incremental
-// deletability engine (internal/vpt Cache) calls per candidate.
+// same verdict, allocation-free once ws is warm. This is the form the
+// incremental deletability engine (internal/vpt Cache) calls per
+// candidate.
 func SpannedByShortWS(g *graph.Graph, tau int, ws *Workspace) bool {
 	// Trees carry no cycles; restricting to the 2-core preserves the cycle
 	// space while shrinking the candidate generation work.
-	return ws.spansAll(g.TwoCore(), tau, true)
+	return ws.spansAll(g.TwoCoreInto(&ws.core, ws.s), tau, true)
 }
 
 // spansAll resets ws's echelon to g's edge space, inserts the cycles of
@@ -43,7 +47,7 @@ func SpannedByShortWS(g *graph.Graph, tau int, ws *Workspace) bool {
 // the echelon then holds a partial span, so a caller that tests a specific
 // target against ws.ech must not set it.
 func (ws *Workspace) spansAll(g *graph.Graph, tau int, abort bool) bool {
-	nu := g.CycleSpaceDim()
+	nu := g.CycleSpaceDimWith(ws.s)
 	ws.ech.Reset(g.NumEdges())
 	if nu == 0 || tau < 3 {
 		return nu == 0
@@ -65,14 +69,18 @@ func (ws *Workspace) spansAll(g *graph.Graph, tau int, abort bool) bool {
 		// A rejected scratch comes back zeroed by the reduction.
 		return true
 	})
-	if full || tau == 3 {
-		// For τ=3 the triangles are the only generators ≤ τ (every 3-cycle
-		// is a 3-clique), so the span is already complete.
-		return full
+	if full {
+		return true
+	}
+	if tau == 3 {
+		// The triangles are the only generators ≤ 3 (every 3-cycle is a
+		// 3-clique), so the span is already complete.
+		ech.Recycle(scratch)
+		return false
 	}
 	ws.offs = ws.offs[:0]
 	ws.arena = ws.arena[:0]
-	g.ForEachHortonCandidate(tau, func(_ graph.NodeID, _ int, edges []int32) bool {
+	g.ForEachHortonCandidateWith(ws.s, tau, func(_ graph.NodeID, _ int, edges []int32) bool {
 		ws.offs = append(ws.offs, int32(len(ws.arena)))
 		ws.arena = append(ws.arena, edges...)
 		return true
@@ -81,7 +89,7 @@ func (ws *Workspace) spansAll(g *graph.Graph, tau int, abort bool) bool {
 	ncand := len(ws.offs) - 1
 	for i := 0; i < ncand; i++ {
 		if abort && ech.Rank()+(ncand-i) < nu {
-			return false // even a fully independent tail cannot reach ν
+			break // even a fully independent tail cannot reach ν
 		}
 		for _, e := range ws.arena[ws.offs[i]:ws.offs[i+1]] {
 			scratch.Set(int(e), true)
@@ -93,5 +101,6 @@ func (ws *Workspace) spansAll(g *graph.Graph, tau int, abort bool) bool {
 			scratch = ech.TakeScratch()
 		}
 	}
+	ech.Recycle(scratch)
 	return false
 }

@@ -17,7 +17,7 @@ const shardedTau = 4
 
 // shardedCounts is the shard-count sweep checked against the unsharded
 // canonical engine in every run. Stats are reported at the largest count,
-// where cross-shard coordination (halo deltas, batch aborts) is busiest.
+// where cross-shard traffic (halo deltas) is busiest.
 var shardedCounts = []int{1, 4, 9}
 
 // ShardedResult summarizes the spatial-shard-engine experiment: every run
@@ -34,8 +34,6 @@ type ShardedResult struct {
 	AvgDeletions float64
 	AvgTests     float64
 	// Coordinator profile at the largest shard count, averaged per run.
-	AvgBatches    float64
-	AvgDeferred   float64
 	AvgHaloDeltas float64
 	// AvgReplication is mean total shard residents (owned + halo copies)
 	// divided by n — the memory price of the halo invariant.
@@ -107,31 +105,23 @@ func Sharded(w io.Writer, cfg Config) (ShardedResult, error) {
 		out.Matched += r.matched
 		out.AvgDeletions += float64(r.deletions)
 		out.AvgTests += float64(r.tests)
-		out.AvgBatches += float64(r.st.Batches)
-		out.AvgDeferred += float64(r.st.Deferred)
 		out.AvgHaloDeltas += float64(r.st.HaloDeltas)
 		out.AvgReplication += float64(r.st.Replicas) / float64(r.nodes)
 	}
 	// Aggregate telemetry is published only here, after the barrier, like
 	// the streaming experiment: per-run engines never see the registry.
 	if reg := cfg.Telemetry; reg != nil {
-		var batches, deferred, deltas int64
+		var deltas int64
 		for _, r := range perRun {
-			batches += int64(r.st.Batches)
-			deferred += int64(r.st.Deferred)
 			deltas += int64(r.st.HaloDeltas)
 		}
 		reg.Counter("experiments.sharded.matched").Add(int64(out.Matched))
-		reg.Counter("experiments.sharded.batches").Add(batches)
-		reg.Counter("experiments.sharded.deferred").Add(deferred)
 		reg.Counter("experiments.sharded.halo_deltas").Add(deltas)
 	}
 
 	n := float64(cfg.Runs)
 	out.AvgDeletions /= n
 	out.AvgTests /= n
-	out.AvgBatches /= n
-	out.AvgDeferred /= n
 	out.AvgHaloDeltas /= n
 	out.AvgReplication /= n
 
@@ -139,7 +129,7 @@ func Sharded(w io.Writer, cfg Config) (ShardedResult, error) {
 		cfg.Nodes, cfg.Runs, shardedTau, shardedCounts)
 	fmt.Fprintf(w, "  byte-identical schedules: %d/%d\n", out.Matched, cfg.Runs*len(shardedCounts))
 	fmt.Fprintf(w, "  avg per run: deletions %.1f  tests %.1f\n", out.AvgDeletions, out.AvgTests)
-	fmt.Fprintf(w, "  coordinator at %d shards: batches %.1f  deferred %.1f  halo deltas %.1f  replication ×%.2f\n",
-		shardedCounts[len(shardedCounts)-1], out.AvgBatches, out.AvgDeferred, out.AvgHaloDeltas, out.AvgReplication)
+	fmt.Fprintf(w, "  coordinator at %d shards: halo deltas %.1f  replication ×%.2f\n",
+		shardedCounts[len(shardedCounts)-1], out.AvgHaloDeltas, out.AvgReplication)
 	return out, nil
 }

@@ -2,20 +2,21 @@ package graph
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
 // Scratch holds the reusable buffers behind the compact subgraph
-// constructor and the deletion-overlay BFS: visit stamps, BFS queues and
-// base→local index mappings. A Scratch amortizes the per-call allocations
-// of the deletability hot loop (ISSUE: per-worker scratch); it is NOT safe
-// for concurrent use — give each worker its own via NewScratch.
+// constructor, the deletion-overlay BFS and the bounded searches of the
+// deletability test: visit stamps, BFS queues, base→local index mappings
+// and per-node counters. A Scratch amortizes the per-call allocations of
+// the deletability hot loop; it is NOT safe for concurrent use — give each
+// worker its own via NewScratch.
 //
 // All buffers are epoch-stamped: reuse never requires clearing, so a
 // Scratch can serve graphs of different sizes back to back.
 type Scratch struct {
-	// BFS state (ballIdx, twoCore).
+	// BFS state (ballIdx, flood, twoCore, the Horton and pair searches).
 	stamp []int32
 	epoch int32
 	queue []int32
@@ -24,8 +25,13 @@ type Scratch struct {
 	local  []int32
 	lstamp []int32
 	lepoch int32
-	// Per-local-node degree counts for compactInduced.
+	// Per-node counters: compactInduced and TwoCore degrees.
 	deg []int32
+	// Search-tree state by node index, grown on demand (ensureTree):
+	// depth, parent (or source, in the pair search) and parent edge, plus
+	// the candidate edge list of the Horton enumeration.
+	depth, parent, parentEdge []int32
+	path                      []int32
 }
 
 // NewScratch returns a Scratch pre-sized for graphs up to g's order. A nil
@@ -45,6 +51,24 @@ func (s *Scratch) ensure(n int) {
 		s.local = make([]int32, n)
 		s.lstamp = make([]int32, n)
 	}
+}
+
+// ensureTree sizes the search-tree buffers for n nodes.
+func (s *Scratch) ensureTree(n int) {
+	s.ensure(n)
+	if len(s.depth) < n {
+		s.depth = make([]int32, n)
+		s.parent = make([]int32, n)
+		s.parentEdge = make([]int32, n)
+	}
+}
+
+// ensureDeg returns the degree counter buffer resliced to n nodes.
+func (s *Scratch) ensureDeg(n int) []int32 {
+	if cap(s.deg) < n {
+		s.deg = make([]int32, n)
+	}
+	return s.deg[:n]
 }
 
 // nextEpoch advances the BFS epoch, resetting the stamp array on the
@@ -84,87 +108,119 @@ func getScratch(n int) *Scratch {
 
 func putScratch(s *Scratch) { scratchPool.Put(s) }
 
-// compactInduced builds the subgraph induced by the base-index set keep
-// (strictly ascending). It produces a Graph structurally identical to the
-// one Builder would construct from the same nodes and edges — node IDs
-// ascending, edges sorted by (U,V), adjacency lists sorted with the
-// parallel edge-index lists — but in two array passes with no maps, which
-// is what makes per-candidate neighbourhood extraction affordable inside
-// the deletability hot loop.
-//
-//lint:ignore hotalloc constructs the returned Graph: its backing arrays are owned by the result and must outlive every scratch buffer; the two-pass layout already allocates the exact final sizes
-func (g *Graph) compactInduced(keep []int32, s *Scratch) *Graph {
+// GraphBuf is caller-owned storage for one Graph: the constructors that
+// build into a GraphBuf (compactInducedInto, TwoCoreInto,
+// DeleteView.ExtractNeighborhoodInto) reuse its arrays, so a warm GraphBuf
+// makes them allocation-free. The Graph they return, and the node list
+// ExtractNeighborhoodInto returns with it, live in the GraphBuf and stay
+// valid until the next build into it. The zero value is ready to use; a
+// GraphBuf is not safe for concurrent use.
+type GraphBuf struct {
+	g Graph // the graph built last; its slices alias the arrays below
+	// Backing arrays of g's fields, grown on demand.
+	ids          []NodeID
+	adj, adjEdge [][]int32
+	edges        []Edge
+	edgeU, edgeV []int32
+	nbr, nbrEs   []int32 // the adjacency lists' storage
+	direct       []NodeID
+}
+
+// short reports whether buf must be (re)allocated to hold n elements. A
+// nil buf always is, so a fresh build holds empty slices exactly where
+// Builder does.
+func short[T any](buf []T, n int) bool { return buf == nil || cap(buf) < n }
+
+// compactInducedInto builds into b the subgraph induced by the base-index
+// set keep (strictly ascending) and returns it. It produces a Graph
+// structurally identical to the one Builder would construct from the same
+// nodes and edges — node IDs ascending, edges sorted by (U,V), adjacency
+// lists sorted with the parallel edge-index lists — in two array passes
+// with no maps, which is what makes per-candidate neighbourhood extraction
+// affordable inside the deletability hot loop. b must not hold g.
+func (g *Graph) compactInducedInto(b *GraphBuf, keep []int32, s *Scratch) *Graph {
 	s.ensure(len(g.ids))
 	nl := len(keep)
-	sub := &Graph{
-		ids:     make([]NodeID, nl),
-		adj:     make([][]int32, nl),
-		adjEdge: make([][]int32, nl),
+	if short(b.ids, nl) {
+		b.ids, b.adj, b.adjEdge = make([]NodeID, nl), make([][]int32, nl), make([][]int32, nl)
 	}
+	sub := &b.g
+	sub.ids, sub.adj, sub.adjEdge = b.ids[:nl], b.adj[:nl], b.adjEdge[:nl]
 	ep := s.nextLocalEpoch()
+	local, lstamp := s.local[:len(g.ids)], s.lstamp[:len(g.ids)]
 	for li, bi := range keep {
 		sub.ids[li] = g.ids[bi]
-		s.local[bi] = int32(li)
-		s.lstamp[bi] = ep
+		local[bi] = int32(li)
+		lstamp[bi] = ep
 	}
 	// Pass 1: count the surviving degree of each kept node and the number
 	// of surviving edges.
-	if cap(s.deg) < nl {
-		s.deg = make([]int32, nl)
-	}
-	deg := s.deg[:nl]
+	deg := s.ensureDeg(nl)
 	for li := range deg {
 		deg[li] = 0
 	}
 	ne := 0
 	for li, bi := range keep {
 		for _, w := range g.adj[bi] {
-			if s.lstamp[w] == ep {
+			if lstamp[w] == ep {
 				deg[li]++
-				if s.local[w] > int32(li) {
+				if local[w] > int32(li) {
 					ne++
 				}
 			}
 		}
 	}
+	sub.edges = nil // Builder leaves an edgeless graph's edge list nil
 	if ne > 0 {
-		sub.edges = make([]Edge, ne)
-	}
-	sub.edgeU = make([]int32, ne)
-	sub.edgeV = make([]int32, ne)
-	nbrBack := make([]int32, 2*ne)
-	edgeBack := make([]int32, 2*ne)
-	off := 0
-	for li := range deg {
-		d := int(deg[li])
-		if d == 0 {
-			continue // leave nil, matching Builder output for isolated nodes
+		if short(b.edges, ne) {
+			b.edges = make([]Edge, ne)
 		}
-		sub.adj[li] = nbrBack[off : off : off+d]
-		sub.adjEdge[li] = edgeBack[off : off : off+d]
+		sub.edges = b.edges[:ne]
+	}
+	if short(b.edgeU, ne) {
+		b.edgeU, b.edgeV = make([]int32, ne), make([]int32, ne)
+	}
+	sub.edgeU, sub.edgeV = b.edgeU[:ne], b.edgeV[:ne]
+	if short(b.nbr, 2*ne) {
+		b.nbr, b.nbrEs = make([]int32, 2*ne), make([]int32, 2*ne)
+	}
+	// Lay the adjacency lists out back to back; deg becomes each list's
+	// fill cursor.
+	nbr, nbrEs := b.nbr, b.nbrEs
+	off := int32(0)
+	for li, d := range deg {
+		if d == 0 {
+			// Nil, matching Builder output for isolated nodes.
+			sub.adj[li], sub.adjEdge[li] = nil, nil
+			continue
+		}
+		sub.adj[li] = nbr[off : off+d : off+d]
+		sub.adjEdge[li] = nbrEs[off : off+d : off+d]
+		deg[li] = off
 		off += d
 	}
 	// Pass 2: enumerate surviving edges with the lower local endpoint
 	// major. Local order equals ID order (keep ascending), so this emits
 	// edges in (U,V)-sorted order, and each adjacency list fills in
 	// ascending neighbour order — exactly the Builder invariants.
-	e := 0
+	ids, edges, edgeU, edgeV := sub.ids, sub.edges, sub.edgeU, sub.edgeV
+	e := int32(0)
 	for li, bi := range keep {
 		for _, w := range g.adj[bi] {
-			if s.lstamp[w] != ep {
+			if lstamp[w] != ep {
 				continue
 			}
-			lw := s.local[w]
+			lw := local[w]
 			if lw <= int32(li) {
 				continue
 			}
-			sub.edges[e] = Edge{U: sub.ids[li], V: sub.ids[lw]}
-			sub.edgeU[e] = int32(li)
-			sub.edgeV[e] = lw
-			sub.adj[li] = append(sub.adj[li], lw)
-			sub.adjEdge[li] = append(sub.adjEdge[li], int32(e))
-			sub.adj[lw] = append(sub.adj[lw], int32(li))
-			sub.adjEdge[lw] = append(sub.adjEdge[lw], int32(e))
+			edges[e] = Edge{U: ids[li], V: ids[lw]}
+			edgeU[e] = int32(li)
+			edgeV[e] = lw
+			nbr[deg[li]], nbrEs[deg[li]] = lw, e
+			nbr[deg[lw]], nbrEs[deg[lw]] = int32(li), e
+			deg[li]++
+			deg[lw]++
 			e++
 		}
 	}
@@ -172,16 +228,14 @@ func (g *Graph) compactInduced(keep []int32, s *Scratch) *Graph {
 	return sub
 }
 
+// compactInduced is compactInducedInto on fresh storage: the returned
+// Graph owns its arrays.
+func (g *Graph) compactInduced(keep []int32, s *Scratch) *Graph {
+	return g.compactInducedInto(new(GraphBuf), keep, s)
+}
+
 // sortDedupIndices sorts keep ascending and removes duplicates in place.
 func sortDedupIndices(keep []int32) []int32 {
-	sort.Slice(keep, func(i, j int) bool { return keep[i] < keep[j] })
-	out := keep[:0]
-	for i, b := range keep {
-		if i > 0 && keep[i-1] == b {
-			continue
-		}
-		//lint:ignore hotalloc in-place dedup: out aliases keep's storage and never outgrows it, so the append cannot reallocate
-		out = append(out, b)
-	}
-	return out
+	slices.Sort(keep)
+	return slices.Compact(keep)
 }

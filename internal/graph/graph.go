@@ -300,8 +300,6 @@ type BFSTree struct {
 
 // BFS computes a shortest-path tree from root, visiting neighbours in
 // increasing ID order (deterministic). maxDepth < 0 means unbounded.
-//
-//lint:ignore hotalloc returns a freshly allocated tree by contract (it must outlive any scratch); hot callers only run it on the compact neighbourhood graph, bounding the cost by the ball order
 func (g *Graph) BFS(root NodeID, maxDepth int) *BFSTree {
 	r := g.internalIndex(root)
 	t := &BFSTree{
@@ -468,16 +466,22 @@ func (g *Graph) DeleteEdges(del []Edge) *Graph {
 }
 
 // IsConnected reports whether the graph is connected. The empty graph and
-// single-node graphs are connected. Runs on the pooled epoch-stamped
-// scratch, so it is allocation-free once the pool is warm — it sits on the
-// deletability hot path (every neighbourhood verdict starts with a
-// connectivity check).
+// single-node graphs are connected. Runs on a pooled scratch;
+// IsConnectedWith is the form for callers that own one.
 func (g *Graph) IsConnected() bool {
+	s := getScratch(len(g.ids))
+	defer putScratch(s)
+	return g.IsConnectedWith(s)
+}
+
+// IsConnectedWith is IsConnected on the caller's scratch, allocation-free
+// once s is warm — it sits on the deletability hot path (every
+// neighbourhood verdict starts with a connectivity check).
+func (g *Graph) IsConnectedWith(s *Scratch) bool {
 	if len(g.ids) <= 1 {
 		return true
 	}
-	s := getScratch(len(g.ids))
-	defer putScratch(s)
+	s.ensure(len(g.ids))
 	return g.flood(s, 0, s.nextEpoch()) == len(g.ids)
 }
 
@@ -539,15 +543,19 @@ func (g *Graph) ConnectedComponents() [][]NodeID {
 
 // NumComponents returns the number of connected components. Unlike
 // ConnectedComponents it does not materialize the node sets: the count
-// comes from repeated scratch floods, allocation-free once the pool is
-// warm (CycleSpaceDim needs it inside the deletability hot loop).
+// comes from repeated floods on a pooled scratch.
 func (g *Graph) NumComponents() int {
+	s := getScratch(len(g.ids))
+	defer putScratch(s)
+	return g.numComponentsWith(s)
+}
+
+func (g *Graph) numComponentsWith(s *Scratch) int {
 	n := len(g.ids)
 	if n == 0 {
 		return 0
 	}
-	s := getScratch(n)
-	defer putScratch(s)
+	s.ensure(n)
 	ep := s.nextEpoch()
 	comps := 0
 	for i := range g.ids {
@@ -565,49 +573,111 @@ func (g *Graph) CycleSpaceDim() int {
 	return g.NumEdges() - g.NumNodes() + g.NumComponents()
 }
 
+// CycleSpaceDimWith is CycleSpaceDim on the caller's scratch,
+// allocation-free once s is warm (the short-cycle span test needs ν
+// inside the deletability hot loop).
+func (g *Graph) CycleSpaceDimWith(s *Scratch) int {
+	return g.NumEdges() - g.NumNodes() + g.numComponentsWith(s)
+}
+
 // TwoCore returns the subgraph obtained by repeatedly deleting vertices of
 // degree < 2. The 2-core carries the entire cycle space of the graph, so
-// cycle computations may be restricted to it.
-//
-//lint:ignore hotalloc transient peel buffers sized by the already-compacted neighbourhood graph, freed with the call; the kept-set and result construction reuse the pooled scratch via compactInduced
+// cycle computations may be restricted to it. The result is freshly
+// allocated; TwoCoreInto is the allocation-free form.
 func (g *Graph) TwoCore() *Graph {
-	deg := make([]int, len(g.ids))
-	alive := make([]bool, len(g.ids))
+	s := getScratch(len(g.ids))
+	defer putScratch(s)
+	return g.TwoCoreInto(new(GraphBuf), s)
+}
+
+// TwoCoreInto is TwoCore built into b on the caller's scratch; the result
+// stays valid until the next build into b, which must not hold g.
+func (g *Graph) TwoCoreInto(b *GraphBuf, s *Scratch) *Graph {
+	n := len(g.ids)
+	s.ensure(n)
+	deg := s.ensureDeg(n)
+	dead := s.nextEpoch()
+	stamp := s.stamp[:n]
+	queue := s.queue[:0]
 	for i := range g.ids {
-		deg[i] = len(g.adj[i])
-		alive[i] = true
-	}
-	queue := make([]int32, 0)
-	for i := range g.ids {
+		deg[i] = int32(len(g.adj[i]))
 		if deg[i] < 2 {
+			stamp[i] = dead
 			queue = append(queue, int32(i))
-			alive[i] = false
 		}
 	}
 	for len(queue) > 0 {
 		u := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		for _, w := range g.adj[u] {
-			if alive[w] {
+			if stamp[w] != dead {
 				deg[w]--
 				if deg[w] < 2 {
-					alive[w] = false
+					stamp[w] = dead
 					queue = append(queue, w)
 				}
 			}
 		}
 	}
-	s := getScratch(len(g.ids))
-	defer putScratch(s)
+	s.queue = queue[:0]
 	keep := s.ball[:0]
-	for i, ok := range alive {
-		if ok {
+	for i := range g.ids {
+		if stamp[i] != dead {
 			keep = append(keep, int32(i))
 		}
 	}
-	sub := g.compactInduced(keep, s)
-	s.ball = keep[:0]
-	return sub
+	s.ball = keep
+	return g.compactInducedInto(b, keep, s)
+}
+
+// AnyPairWithin reports whether two distinct nodes of terminals are
+// joined by a path of at most maxHops edges. Terminals absent from the
+// graph are ignored. One multi-source search from every terminal at once
+// replaces a BFS per terminal: each visited node records its depth and
+// the terminal it was reached from, and an edge between nodes reached
+// from different terminals closes a terminal-to-terminal walk of length
+// depth(x) + 1 + depth(y). The shortest pair path contains such an edge
+// with that sum at most its length, so the search is exact. Runs on the
+// caller's scratch, allocation-free once s is warm.
+func (g *Graph) AnyPairWithin(terminals []NodeID, maxHops int, s *Scratch) bool {
+	n := len(g.ids)
+	s.ensureTree(n)
+	ep := s.nextEpoch()
+	stamp, depth, src := s.stamp[:n], s.depth[:n], s.parent[:n]
+	queue := s.queue[:0]
+	for ti, t := range terminals {
+		i, ok := g.index(t)
+		if !ok || stamp[i] == ep {
+			continue
+		}
+		stamp[i] = ep
+		depth[i] = 0
+		src[i] = int32(ti)
+		queue = append(queue, int32(i))
+	}
+	found := false
+	for qi := 0; qi < len(queue) && !found; qi++ {
+		x := queue[qi]
+		dx := depth[x]
+		for _, y := range g.adj[x] {
+			if stamp[y] != ep {
+				// Only nodes with depth ≤ maxHops−1 can close a short pair.
+				if int(dx)+1 <= maxHops-1 {
+					stamp[y] = ep
+					depth[y] = dx + 1
+					src[y] = src[x]
+					queue = append(queue, y)
+				}
+				continue
+			}
+			if src[y] != src[x] && int(dx+depth[y])+1 <= maxHops {
+				found = true
+				break
+			}
+		}
+	}
+	s.queue = queue[:0]
+	return found
 }
 
 // ShortestPathLen returns the hop distance between u and v, or -1 if

@@ -310,9 +310,14 @@ func TestTwoCore(t *testing.T) {
 }
 
 func TestTwoCorePreservesCycleSpaceDim(t *testing.T) {
+	var buf GraphBuf // TwoCoreInto reuses it across every case
+	s := NewScratch(nil)
 	f := func(seed int64) bool {
 		g := randomGraph(rand.New(rand.NewSource(seed)), 20, 0.15)
-		return g.CycleSpaceDim() == g.TwoCore().CycleSpaceDim()
+		core := g.TwoCore()
+		return g.CycleSpaceDim() == core.CycleSpaceDim() &&
+			reflect.DeepEqual(g.TwoCoreInto(&buf, s), core) &&
+			g.CycleSpaceDimWith(s) == g.CycleSpaceDim()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -438,5 +443,37 @@ func BenchmarkKHop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.KHopNeighbors(820, 3)
+	}
+}
+
+// TestAnyPairWithinMatchesPairwiseBFS: the one multi-source search agrees
+// with a BFS from every terminal on whether two distinct terminals lie
+// within maxHops of each other, ignoring terminals absent from the graph.
+func TestAnyPairWithinMatchesPairwiseBFS(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	s := NewScratch(nil)
+	for trial := 0; trial < 300; trial++ {
+		g := randomGraph(r, 3+r.Intn(25), 0.05+r.Float64()*0.2)
+		var terms []NodeID
+		for i := 0; i < 1+r.Intn(6); i++ {
+			terms = append(terms, NodeID(r.Intn(g.NumNodes()+2))) // may be absent or repeated
+		}
+		for maxHops := 1; maxHops <= 4; maxHops++ {
+			want := false
+			for _, a := range terms {
+				if !g.HasNode(a) {
+					continue
+				}
+				tree := g.BFS(a, maxHops)
+				for _, b := range terms {
+					if b != a && tree.Depth(b) >= 0 {
+						want = true
+					}
+				}
+			}
+			if got := g.AnyPairWithin(terms, maxHops, s); got != want {
+				t.Fatalf("trial %d: AnyPairWithin(%v, %d) = %v, pairwise BFS says %v", trial, terms, maxHops, got, want)
+			}
+		}
 	}
 }

@@ -13,10 +13,19 @@ package graph
 //
 // This is the hot path of every void-preserving-transformation test, so it
 // works entirely on internal dense indices: no map lookups, and the BFS
-// state is reused across roots via an epoch-stamping trick.
-//
-//lint:ignore hotalloc six O(n) buffers allocated once per enumeration and reused across all n roots via epoch stamps — amortized by construction; threading a caller Workspace through the public iterator would churn every call site for no measured gain
+// state is reused across roots via an epoch-stamping trick. It runs on a
+// pooled scratch; ForEachHortonCandidateWith is the form for callers that
+// own one.
 func (g *Graph) ForEachHortonCandidate(maxLen int, fn func(root NodeID, length int, edges []int32) bool) {
+	s := getScratch(len(g.ids))
+	defer putScratch(s)
+	g.ForEachHortonCandidateWith(s, maxLen, fn)
+}
+
+// ForEachHortonCandidateWith is ForEachHortonCandidate with the BFS state
+// and the candidate buffer in the caller's scratch, allocation-free once s
+// is warm. The edges slice handed to fn aliases s.
+func (g *Graph) ForEachHortonCandidateWith(s *Scratch, maxLen int, fn func(root NodeID, length int, edges []int32) bool) {
 	n := len(g.ids)
 	if n == 0 || len(g.edges) == 0 {
 		return
@@ -29,18 +38,16 @@ func (g *Graph) ForEachHortonCandidate(maxLen int, fn func(root NodeID, length i
 	// Dense endpoint arrays for the edge scan, precomputed at Build time.
 	eu, ev := g.edgeU, g.edgeV
 
-	var (
-		depth      = make([]int32, n)
-		parent     = make([]int32, n)
-		parentEdge = make([]int32, n)
-		stamp      = make([]int32, n) // BFS epoch a node was last visited in
-		queue      = make([]int32, 0, n)
-		buf        = make([]int32, 0, 64)
-		epoch      int32
-	)
+	s.ensureTree(n)
+	// Exact-length views: the compiler drops bounds checks it can prove
+	// against n, which measurably speeds up the per-root loops.
+	depth, parent, parentEdge := s.depth[:n], s.parent[:n], s.parentEdge[:n]
+	stamp := s.stamp[:n] // BFS epoch a node was last visited in
+	queue := s.queue[:0]
+	buf := s.path[:0]
 
 	for ri := 0; ri < n; ri++ {
-		epoch++
+		epoch := s.nextEpoch()
 		queue = queue[:0]
 		queue = append(queue, int32(ri))
 		stamp[ri] = epoch
@@ -102,8 +109,10 @@ func (g *Graph) ForEachHortonCandidate(maxLen int, fn func(root NodeID, length i
 				buf = append(buf, parentEdge[c])
 			}
 			if !fn(g.ids[ri], length, buf) {
+				s.queue, s.path = queue[:0], buf[:0]
 				return
 			}
 		}
 	}
+	s.queue, s.path = queue[:0], buf[:0]
 }

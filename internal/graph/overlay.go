@@ -169,23 +169,29 @@ func (d *DeleteView) KHopBall(v NodeID, k int, s *Scratch) []NodeID {
 // the graph is structurally identical to
 // Materialize().InducedSubgraph(Materialize().KHopNeighbors(v, k)) but
 // costs two passes over the ball. Returns (nil, nil) when v is dead or
-// absent.
-//
-//lint:ignore hotalloc the direct-neighbour slice is part of the return value (bounded by deg(v), consumed by the deletability test); ball traversal and subgraph construction reuse the caller's Scratch
+// absent. Both results are freshly allocated; ExtractNeighborhoodInto is
+// the allocation-free form.
 func (d *DeleteView) ExtractNeighborhood(v NodeID, k int, s *Scratch) (*Graph, []NodeID) {
+	return d.ExtractNeighborhoodInto(v, k, s, new(GraphBuf))
+}
+
+// ExtractNeighborhoodInto is ExtractNeighborhood built into b: the graph
+// and the direct-neighbour slice both live in b and stay valid until the
+// next build into it. Allocation-free once b is warm.
+func (d *DeleteView) ExtractNeighborhoodInto(v NodeID, k int, s *Scratch, b *GraphBuf) (*Graph, []NodeID) {
 	vi, ok := d.g.index(v)
 	if !ok || d.gone[vi] {
 		return nil, nil
 	}
 	ball := d.ballIdx(vi, k, s)
-	sub := d.g.compactInduced(ball, s)
-	direct := make([]NodeID, 0, len(d.g.adj[vi]))
+	sub := d.g.compactInducedInto(b, ball, s)
+	b.direct = b.direct[:0]
 	for _, w := range d.g.adj[vi] {
 		if !d.gone[w] {
-			direct = append(direct, d.g.ids[w])
+			b.direct = append(b.direct, d.g.ids[w])
 		}
 	}
-	return sub, direct
+	return sub, b.direct
 }
 
 // FNV-1a 64-bit parameters for NeighborhoodFingerprint.

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -106,6 +107,7 @@ func TestKHopBallMatchesKHopNeighbors(t *testing.T) {
 func TestExtractNeighborhoodMatchesInduced(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	s := NewScratch(nil)
+	var buf GraphBuf // reused by every build: must never leak a stale graph
 	for trial := 0; trial < 25; trial++ {
 		g := randomGraph(r, 5+r.Intn(30), 0.1+r.Float64()*0.2)
 		view := NewDeleteView(g)
@@ -119,6 +121,9 @@ func TestExtractNeighborhoodMatchesInduced(t *testing.T) {
 				want := live.InducedSubgraph(live.KHopNeighbors(v, k))
 				if !reflect.DeepEqual(sub, want) {
 					t.Fatalf("trial %d: ExtractNeighborhood(%d,%d) graph differs", trial, v, k)
+				}
+				if into, intoDirect := view.ExtractNeighborhoodInto(v, k, s, &buf); !reflect.DeepEqual(into, want) || !slices.Equal(intoDirect, direct) {
+					t.Fatalf("trial %d: ExtractNeighborhoodInto(%d,%d) on a reused GraphBuf differs", trial, v, k)
 				}
 				wantDirect := view.LiveNeighbors(v)
 				if len(direct) == 0 && len(wantDirect) == 0 {

@@ -323,6 +323,7 @@ func (p *Pass) isSeedDeriver(fn *types.Func) bool {
 // allocations (growth is bounded and reused across calls).
 var scratchCarrierNames = map[string]bool{
 	"Scratch":   true, // dcc/internal/graph
+	"GraphBuf":  true, // dcc/internal/graph
 	"Workspace": true, // dcc/internal/cycles
 	"Echelon":   true, // dcc/internal/bitvec
 	"Tester":    true, // dcc/internal/vpt

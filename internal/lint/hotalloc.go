@@ -12,15 +12,15 @@ import (
 // function reachable from a root through the approximate call graph is hot,
 // and allocation expressions there — make, new, slice/map composite
 // literals, &T{} and append — are flagged unless the storage provably
-// belongs to a scratch carrier (graph.Scratch, cycles.Workspace,
-// bitvec.Echelon, vpt.Tester): appends into carrier fields and
-// makes/literals assigned directly to them are amortized by construction.
-// Value composite literals (Vector{...}, Edge{...}) do not heap-allocate
-// and are not flagged. A //lint:ignore hotalloc waiver on an allocation
-// line waives that site; on the function declaration line it waives the
-// whole function (for the deliberate cold setup paths that hot functions
-// share code with). Reachability crosses packages: call edges and sites are
-// accumulated per package and resolved in the Finish hook.
+// belongs to a scratch carrier (graph.Scratch, graph.GraphBuf,
+// cycles.Workspace, bitvec.Echelon, vpt.Tester): appends into carrier
+// fields and makes/literals assigned directly to them are amortized by
+// construction. Value composite literals (Vector{...}, Edge{...}) do not
+// heap-allocate and are not flagged. A //lint:ignore hotalloc waiver on an
+// allocation line waives that site; on the function declaration line it
+// waives the whole function (for the deliberate cold setup paths that hot
+// functions share code with). Reachability crosses packages: call edges
+// and sites are accumulated per package and resolved in the Finish hook.
 var HotAllocAnalyzer = &Analyzer{
 	Name:   "hotalloc",
 	Doc:    "no allocation in functions reachable from //lint:hotpath roots",

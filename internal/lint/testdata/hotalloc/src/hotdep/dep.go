@@ -23,6 +23,30 @@ func Helper(s *Scratch, n int) int {
 	return len(queue)
 }
 
+// GraphBuf mimics graph.GraphBuf, the reusable storage a graph is built
+// into: allocations assigned to its fields and appends into them are
+// amortized by construction.
+type GraphBuf struct {
+	IDs []int
+}
+
+// Graph is not a carrier: storage built into it is not amortized.
+type Graph struct {
+	IDs []int
+}
+
+// BuildInto is hot via hotmain.Root. Growing the GraphBuf's storage is
+// not flagged; the same build into a plain Graph is.
+func BuildInto(b *GraphBuf, g *Graph, n int) int {
+	if cap(b.IDs) < n {
+		b.IDs = make([]int, 0, n)
+	}
+	b.IDs = append(b.IDs[:0], n)
+	g.IDs = make([]int, 0, n)    // want `make of \[\]int in hotdep.BuildInto, which is reachable from a //lint:hotpath root`
+	g.IDs = append(g.IDs[:0], n) // want `append of g.IDs\[:0\] in hotdep.BuildInto`
+	return len(b.IDs) + len(g.IDs)
+}
+
 // NewBuf allocates caller-owned storage by contract: the whole function
 // is waived from the declaration line.
 //

@@ -1,8 +1,7 @@
 // Package shard schedules confine-based coverage over a spatially
 // partitioned deployment: the bounding rectangle is cut into a grid of
 // regions, each owning a local CSR subgraph plus a halo of replicated
-// border nodes, and a coordinator replays the canonical election across
-// the regions in geometry-separated batches.
+// border nodes, and the canonical election runs across the regions.
 //
 // The design stands on the paper's locality results (Theorem 3 /
 // Section V): deletability is a k-hop-local test with k = ⌈τ/2⌉, so a
@@ -19,13 +18,12 @@
 // Equivalence contract: Schedule returns a core.Result byte-identical
 // (reflect.DeepEqual) to core.Schedule in Canonical mode on the same
 // topology, for every shard count and every worker count. The
-// coordinator owns the one core.ElectionQueue; shards only ever receive
-// deletion deltas and answer verdict queries, mirroring the controller
-// split of SDN-style duty-cycling (SNIPPETS.md §1). Batching is
-// speculative and validated: members are pairwise farther than k·Rc
-// apart (verdict-independent), and a batch is cut short the moment a
-// dirtied node outranks the next member (DESIGN.md §15 proves the replay
-// is exactly the sequential order).
+// coordinator runs core's one greedy loop (core.CanonicalElectOver) with
+// the regions as its residual: a node is tested on its owner region's
+// cache, and a deletion travels to every region holding a replica,
+// mirroring the controller split of SDN-style duty-cycling (SNIPPETS.md
+// §1). Workers parallelise the region build; the election itself is
+// sequential.
 package shard
 
 import (
@@ -108,11 +106,10 @@ type Stats struct {
 	Replicas int
 	// MaxLocal is the largest region's node count, halo included.
 	MaxLocal int
-	// Batches counts coordinator rounds (parallel verdict waves).
-	Batches int
-	// Deferred counts batch members pushed back — by the geometric
-	// conflict cut at batch formation or by the replay validation.
-	Deferred int
+	// Batches and Deferred always read 0: the coordinator runs the
+	// canonical loop one test at a time, with no verdict batches to
+	// count or defer. They stay so that callers reading them compile.
+	Batches, Deferred int
 	// Tests and Deletions mirror the core.Result counters.
 	Tests, Deletions int
 	// HaloDeltas counts deletion deltas applied to non-owner replicas —
@@ -136,10 +133,7 @@ func Schedule(in Input, opts Options) (core.Result, Stats, error) {
 	sp.End()
 
 	sp = reg.StartSpan("shard.elect")
-	deleted, tests, err := e.elect()
-	if err != nil {
-		return core.Result{}, Stats{}, err
-	}
+	deleted, tests := e.elect()
 	sp.End()
 
 	sp = reg.StartSpan("shard.assemble")
@@ -155,8 +149,6 @@ type engine struct {
 	opts Options
 	gr   grid
 	n    int
-	k    int     // verdict locality radius ⌈τ/2⌉
-	conf float64 // geometric conflict radius k·Rc (plus rounding slack)
 
 	owner   []int32 // owning region per node
 	alive   []bool  // coordinator liveness per node
@@ -215,16 +207,10 @@ func newEngine(in Input, opts Options) (*engine, error) {
 	}
 	gr := newGrid(in.Points, shards, float64(halo)*in.Rc)
 	e := &engine{
-		in:   in,
-		opts: opts,
-		gr:   gr,
-		n:    n,
-		k:    k,
-		// Inflate the conflict radius by a whisper of slack so summed
-		// floating-point edge lengths can never certify independence that
-		// an exact k-hop walk would deny. Determinism is unaffected — the
-		// radius is the same constant on every run.
-		conf:  float64(k) * in.Rc * (1 + 1e-9),
+		in:    in,
+		opts:  opts,
+		gr:    gr,
+		n:     n,
 		owner: make([]int32, n),
 		alive: make([]bool, n),
 	}
@@ -370,8 +356,6 @@ func (e *engine) publish(reg *telemetry.Registry) {
 	}
 	reg.Counter("shard.regions").Add(int64(e.stats.Shards))
 	reg.Counter("shard.replicas").Add(int64(e.stats.Replicas))
-	reg.Counter("shard.batches").Add(int64(e.stats.Batches))
-	reg.Counter("shard.deferred").Add(int64(e.stats.Deferred))
 	reg.Counter("shard.tests").Add(int64(e.stats.Tests))
 	reg.Counter("shard.deletions").Add(int64(e.stats.Deletions))
 	reg.Counter("shard.halo_deltas").Add(int64(e.stats.HaloDeltas))

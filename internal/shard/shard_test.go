@@ -100,12 +100,11 @@ func TestScheduleMatchesCanonical(t *testing.T) {
 	}
 }
 
-// TestReplayDefersAfterNonDeletable: a deletion can dirty a node that
-// outranks several later batch members, and the member right after the
-// deletion may test non-deletable. The replay must still defer every
-// member the dirtied node outranks, not only the one that follows the
-// deletion. This deployment consumes a member too early without that.
-func TestReplayDefersAfterNonDeletable(t *testing.T) {
+// TestDenseDeploymentMatchesCanonical: a 1000-node deployment at the
+// benchmark's average degree ≈ 8, on one region and on four, matches the
+// unsharded canonical engine. An earlier batching coordinator consumed a
+// node out of canonical order on exactly this deployment.
+func TestDenseDeploymentMatchesCanonical(t *testing.T) {
 	const tau, seed = 4, 14
 	in := UniformInput(seed, 1000, math.Sqrt(1000*math.Pi/8), 1)
 	want := canonicalResult(t, in, tau, seed)
@@ -229,7 +228,7 @@ func TestHaloDeltasFlow(t *testing.T) {
 	if st.Replicas <= len(in.Points) {
 		t.Fatalf("replicas %d imply an empty halo", st.Replicas)
 	}
-	if st.Batches == 0 || st.Tests == 0 {
+	if st.Tests == 0 {
 		t.Fatalf("degenerate stats %+v", st)
 	}
 }

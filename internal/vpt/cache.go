@@ -1,42 +1,46 @@
 package vpt
 
 import (
-	"sort"
+	"slices"
 
 	"dcc/internal/cycles"
 	"dcc/internal/graph"
 	"dcc/internal/telemetry"
 )
 
-// Tester bundles the reusable scratch state of a deletability-testing
-// worker: graph extraction buffers (BFS queues, visit stamps, index maps)
-// and the GF(2) elimination workspace. One Tester amortizes the per-call
-// allocations of the hot loop across the thousands of evaluations a
-// scheduling run performs. Not safe for concurrent use — give each worker
-// its own.
+// Tester bundles the reusable state of a deletability-testing worker: the
+// graph scratch of the connectivity and void-confinement searches, the
+// storage of the extracted neighbourhood graph, and the GF(2) elimination
+// workspace (which holds the 2-core). A warm Tester makes a verdict
+// allocation-free across the thousands of evaluations a scheduling run
+// performs. The neighbourhood and 2-core graphs of a verdict live in the
+// Tester and stay valid until its next verdict. Not safe for concurrent
+// use — give each worker its own.
 type Tester struct {
-	ws *cycles.Workspace
-	// direct is the reusable filtered direct-neighbour buffer of the
-	// void-confinement check.
-	direct []graph.NodeID
+	s    *graph.Scratch
+	ball graph.GraphBuf // Γ^k(v) of the Cache's current verdict
+	ws   *cycles.Workspace
 }
 
 // NewTester returns an empty Tester.
-func NewTester() *Tester { return &Tester{ws: cycles.NewWorkspace()} }
+func NewTester() *Tester {
+	return &Tester{s: graph.NewScratch(nil), ws: cycles.NewWorkspace()}
+}
 
 // NeighborhoodDeletable is the package-level NeighborhoodDeletable
-// evaluated with the Tester's reusable buffers — identical verdict,
-// amortized allocations.
+// evaluated with the Tester's reusable buffers — identical verdict, no
+// allocations once the Tester is warm.
 func (t *Tester) NeighborhoodDeletable(neighborhood *graph.Graph, directNeighbors []graph.NodeID, tau int) bool {
 	if neighborhood.NumNodes() == 0 {
 		return false
 	}
-	if !neighborhood.IsConnected() {
+	if !neighborhood.IsConnectedWith(t.s) {
 		return false
 	}
-	ok, buf := voidConfinedBuf(neighborhood, directNeighbors, tau, t.direct)
-	t.direct = buf
-	if !ok {
+	// The void is confined when the candidate lies on a cycle of length
+	// ≤ tau: two of its direct neighbours are joined inside the
+	// neighbourhood graph (candidate excluded) by a path of ≤ tau−2 hops.
+	if !neighborhood.AnyPairWithin(directNeighbors, tau-2, t.s) {
 		return false
 	}
 	return cycles.SpannedByShortWS(neighborhood, tau, t.ws)
@@ -74,6 +78,7 @@ type Cache struct {
 	verdict []int8 // by base dense index
 	scratch *graph.Scratch
 	tester  *Tester
+	dirty   []int32 // Commit/Remove's union of dirty balls, reused
 	stats   CacheStats
 
 	// Telemetry handles, nil (no-op) unless Instrument was called. All
@@ -210,7 +215,7 @@ func (c *Cache) Store(v graph.NodeID, deletable bool) {
 func (c *Cache) compute(v graph.NodeID, s *graph.Scratch, t *Tester) int8 {
 	res := false
 	if c.tau >= 3 {
-		sub, direct := c.view.ExtractNeighborhood(v, c.k, s)
+		sub, direct := c.view.ExtractNeighborhoodInto(v, c.k, s, &t.ball)
 		if sub != nil && sub.NumNodes() > 0 {
 			res = t.NeighborhoodDeletable(sub, direct, c.tau)
 		}
@@ -287,10 +292,11 @@ func (c *Cache) Restore(v graph.NodeID) []graph.NodeID {
 func (c *Cache) remove(del []graph.NodeID) []graph.NodeID {
 	// Union of the pre-removal k-hop balls. KHopBallIndices reuses the
 	// scratch ball buffer, so copy per vertex.
-	var dirty []int32
+	dirty := c.dirty[:0]
 	for _, v := range del {
 		dirty = append(dirty, c.view.KHopBallIndices(v, c.k, c.scratch)...)
 	}
+	c.dirty = dirty
 	for _, v := range del {
 		if c.view.Delete(v) {
 			if i, ok := c.g.IndexOf(v); ok {
@@ -298,7 +304,7 @@ func (c *Cache) remove(del []graph.NodeID) []graph.NodeID {
 			}
 		}
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
+	slices.Sort(dirty)
 	out := make([]graph.NodeID, 0, len(dirty))
 	for i, bi := range dirty {
 		if i > 0 && dirty[i-1] == bi {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dcc/internal/geom"
 	"dcc/internal/graph"
 )
 
@@ -355,4 +356,36 @@ func FuzzCacheConsistency(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestVerdictAllocs pins the allocation-free verdict: on a warm Tester and
+// Scratch, a sweep of Cache.ComputeFresh over every node of a 400-node
+// unit-disk graph allocates nothing, for every τ the benchmarks use. The
+// neighbourhood graph, its 2-core, the search state and the GF(2) rows
+// all live in reused storage.
+func TestVerdictAllocs(t *testing.T) {
+	pts := geom.UniformPoints(rand.New(rand.NewSource(1)), 400, geom.Square(12))
+	g := geom.UDG(pts, 1.2)
+	nodes := g.Nodes()
+	for _, tau := range []int{3, 4, 5, 6} {
+		c := NewCache(g, tau)
+		s, tr := graph.NewScratch(g), NewTester()
+		deletable := 0
+		sweep := func() {
+			deletable = 0
+			for _, v := range nodes {
+				if c.ComputeFresh(v, s, tr) {
+					deletable++
+				}
+			}
+		}
+		sweep() // warm every buffer to the sweep's largest neighbourhood
+		if allocs := testing.AllocsPerRun(1, sweep); allocs != 0 {
+			t.Errorf("tau=%d: a warm sweep of %d verdicts made %.0f allocations (%.1f per verdict), want 0",
+				tau, len(nodes), allocs, allocs/float64(len(nodes)))
+		}
+		if deletable == 0 || deletable == len(nodes) {
+			t.Fatalf("tau=%d: degenerate instance, %d of %d nodes deletable", tau, deletable, len(nodes))
+		}
+	}
 }

@@ -64,57 +64,10 @@ func VertexDeletable(g *graph.Graph, v graph.NodeID, tau int) bool {
 // NeighborhoodDeletable runs the deletability test on an already-extracted
 // neighbourhood graph Γ^k(x) given the candidate's direct (1-hop)
 // neighbours. It is the primitive the distributed runtime calls after a
-// node has gathered its k-hop connectivity.
+// node has gathered its k-hop connectivity; Tester.NeighborhoodDeletable
+// is the same test on reusable storage.
 func NeighborhoodDeletable(neighborhood *graph.Graph, directNeighbors []graph.NodeID, tau int) bool {
-	if neighborhood.NumNodes() == 0 {
-		return false
-	}
-	if !neighborhood.IsConnected() {
-		return false
-	}
-	if !voidConfined(neighborhood, directNeighbors, tau) {
-		return false
-	}
-	return cycles.SpannedByShort(neighborhood, tau)
-}
-
-// voidConfined reports whether the candidate lies on a cycle of length
-// ≤ tau: some pair of its direct neighbours is connected within the
-// neighbourhood graph (candidate excluded) by a path of ≤ tau−2 hops.
-func voidConfined(neighborhood *graph.Graph, directNeighbors []graph.NodeID, tau int) bool {
-	ok, _ := voidConfinedBuf(neighborhood, directNeighbors, tau, nil)
-	return ok
-}
-
-// voidConfinedBuf is voidConfined with caller-provided storage for the
-// filtered direct-neighbour set: hot callers (Tester) pass their reusable
-// buffer, the cold package-level path passes nil. The possibly regrown
-// buffer is returned for the caller to keep.
-//
-//lint:ignore hotalloc appends target the caller-owned reusable buffer (nil only on the cold package-level path); growth is bounded by the direct degree and amortized by the Tester
-func voidConfinedBuf(neighborhood *graph.Graph, directNeighbors []graph.NodeID, tau int, buf []graph.NodeID) (bool, []graph.NodeID) {
-	direct := buf[:0]
-	if len(directNeighbors) < 2 {
-		return false, direct
-	}
-	for _, n := range directNeighbors {
-		if neighborhood.HasNode(n) {
-			direct = append(direct, n)
-		}
-	}
-	sort.Slice(direct, func(i, j int) bool { return direct[i] < direct[j] })
-	if len(direct) < 2 {
-		return false, direct
-	}
-	for _, n := range direct {
-		t := neighborhood.BFS(n, tau-2)
-		for _, m := range direct {
-			if m != n && t.Depth(m) >= 0 {
-				return true, direct
-			}
-		}
-	}
-	return false, direct
+	return NewTester().NeighborhoodDeletable(neighborhood, directNeighbors, tau)
 }
 
 // EdgeDeletable reports whether the edge {u,v} may be deleted from g under
