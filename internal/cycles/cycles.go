@@ -256,10 +256,9 @@ func SpannedByShort(g *graph.Graph, tau int) bool {
 // ≤ tau in g. This is the coverage criterion of Propositions 2 and 3. A tau
 // below 3 admits no cycle, so only the zero target qualifies.
 func Partitionable(g *graph.Graph, target bitvec.Vector, tau int) bool {
-	ws := NewWorkspace()
-	// No early abort: a target can lie in a span short of the full space.
-	ws.spansAll(g, tau, false)
-	return ws.ech.Spans(target)
+	ok := NewWorkspace().contains(g, target, tau)
+	debugCheckPartition(g, target, tau, ok) // no-op unless built with -tags dccdebug
+	return ok
 }
 
 // FindPartition returns an explicit cycle partition of the target using

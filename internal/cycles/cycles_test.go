@@ -521,12 +521,26 @@ func BenchmarkMCBTriangulatedGrid(b *testing.B) {
 	}
 }
 
+// BenchmarkSpannedByShort times the span test on a warm Workspace: a
+// triangulated grid that triangles decide at τ = 3, and a ball shaped like
+// the fig3-dense benchmark's (75 unit-disk nodes, m = 516, ν = 442) that
+// triangles leave short and τ = 5 decides with Horton candidates.
 func BenchmarkSpannedByShort(b *testing.B) {
-	g := graph.TriangulatedGrid(10, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !SpannedByShort(g, 3) {
-			b.Fatal("expected spanned")
-		}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		tau  int
+	}{
+		{"triangulated-grid", graph.TriangulatedGrid(10, 10), 3},
+		{"fig3-dense-ball", udgPatch(rand.New(rand.NewSource(3)), 75, 18), 5},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ws := NewWorkspace()
+			for i := 0; i < b.N; i++ {
+				if !SpannedByShortWS(c.g, c.tau, ws) {
+					b.Fatal("expected spanned")
+				}
+			}
+		})
 	}
 }

@@ -1,0 +1,17 @@
+//go:build !dccdebug
+
+package cycles
+
+import (
+	"dcc/internal/bitvec"
+	"dcc/internal/graph"
+)
+
+// Release builds compile the span cross-check away; build with
+// -tags dccdebug to arm it.
+
+type debugState struct{}
+
+func debugCheckSpan(*Workspace, *graph.Graph, int, bool) {}
+
+func debugCheckPartition(*graph.Graph, bitvec.Vector, int, bool) {}

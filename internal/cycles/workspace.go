@@ -1,23 +1,48 @@
 package cycles
 
 import (
+	"fmt"
+
 	"dcc/internal/bitvec"
 	"dcc/internal/graph"
 )
 
-// Workspace holds reusable state for repeated short-span tests: the
-// echelon (with its recycled row storage), a flat arena for the Horton
-// candidates of the current graph, the 2-core graph under test and the
-// graph scratch of the 2-core peel, component count and Horton search. A
-// warm Workspace makes SpannedByShortWS allocation-free across the
-// thousands of deletability evaluations a scheduling run performs; it is
-// NOT safe for concurrent use — give each worker its own.
+// Workspace holds reusable state for repeated short-span tests: the 2-core
+// under test with the graph scratch of its peel, co-tree numbering and
+// Horton search, and the span engine — the co-tree map, the union-find
+// quotient, the arena of deferred candidates and the residue echelon (with
+// its recycled row storage). A warm Workspace makes SpannedByShortWS
+// allocation-free across the thousands of deletability evaluations a
+// scheduling run performs; it is NOT safe for concurrent use — give each
+// worker its own.
+//
+// The engine works in co-tree coordinates (Graph.CoTreeInto), where the
+// cycle space is GF(2)^ν. Its span is kept as a partition of the ν
+// coordinates plus a zero element into classes: the span is the set of
+// vectors of even weight on every class except zero's. A candidate's image
+// is the set of classes its co-tree edges hit an odd number of times,
+// zero's class dropped. Weight 0 means the candidate is already spanned;
+// weight 1 merges its class into zero's and weight 2 merges the two
+// classes, each merge raising the rank by one, so the span is full exactly
+// when rank == ν. Images of weight ≥ 3 are deferred and retried after
+// merges; what is left is eliminated over the classes other than zero's
+// (the quotient of GF(2)^ν by the union-find span), which in the unit-disk
+// balls of the deletability test are a handful.
 type Workspace struct {
-	ech   *bitvec.Echelon
-	offs  []int32 // candidate i occupies arena[offs[i]:offs[i+1]]
-	arena []int32 // concatenated candidate edge lists
-	s     *graph.Scratch
-	core  graph.GraphBuf // the 2-core under test, valid until the next test
+	s    *graph.Scratch
+	core graph.GraphBuf // the 2-core under test, valid until the next test
+
+	cot  []int32 // edge → co-tree coordinate, −1 on the spanning forest
+	nu   int     // cycle-space dimension; also the zero element's index
+	uf   []int32 // union-find over coordinates and zero: parent, or −size at a root
+	rank int     // merges so far
+	par  []uint8 // class parity of the image under construction, by root
+	img  []int32 // roots flipped to odd parity while an image is built
+	def  []int32 // deferred images, each a length followed by its roots
+	ech  *bitvec.Echelon
+	lab  []int32 // root → residue echelon column, −1 until numbered
+	nlab int32
+	dbg  debugState
 }
 
 // NewWorkspace returns an empty Workspace.
@@ -32,75 +57,268 @@ func NewWorkspace() *Workspace {
 func SpannedByShortWS(g *graph.Graph, tau int, ws *Workspace) bool {
 	// Trees carry no cycles; restricting to the 2-core preserves the cycle
 	// space while shrinking the candidate generation work.
-	return ws.spansAll(g.TwoCoreInto(&ws.core, ws.s), tau, true)
+	core := g.TwoCoreInto(&ws.core, ws.s)
+	ok := ws.spansAll(core, tau)
+	debugCheckSpan(ws, core, tau, ok) // no-op unless built with -tags dccdebug
+	return ok
 }
 
-// spansAll resets ws's echelon to g's edge space, inserts the cycles of
-// length ≤ tau of g, and reports whether they span the entire cycle space.
-// Triangles are inserted straight from the adjacency intersection first —
-// in the dense unit-disk patches the deletability test sees, they usually
-// reach full rank on their own — then the remaining Horton candidates are
-// gathered into the arena (no per-candidate copies or sorting: span
-// membership is order-independent) and eliminated. Insertion stops once
-// the rank reaches ν, which loses nothing. With abort set it also stops as
-// soon as even a fully independent tail of candidates could not reach ν;
-// the echelon then holds a partial span, so a caller that tests a specific
-// target against ws.ech must not set it.
-func (ws *Workspace) spansAll(g *graph.Graph, tau int, abort bool) bool {
-	nu := g.CycleSpaceDimWith(ws.s)
-	ws.ech.Reset(g.NumEdges())
-	if nu == 0 || tau < 3 {
-		return nu == 0
+// spansAll builds the span of g's cycles of length ≤ tau in ws and reports
+// whether it is g's entire cycle space. Triangles go in first, straight
+// from the adjacency intersection — in the dense unit-disk patches the
+// deletability test sees they usually reach full rank on their own — then
+// the Horton candidates longer than 3 (every 3-cycle is a triangle), which
+// span the same space as all cycles of length ≤ tau. The deferred images
+// are retried after each pass and the rest is reduced in the residue
+// echelon. The only early exit is full rank, after which every cycle of g
+// is in the span, so the span ws holds is exact for membership tests too.
+func (ws *Workspace) spansAll(g *graph.Graph, tau int) bool {
+	ws.reset(g)
+	if ws.nu == 0 || tau < 3 {
+		return ws.nu == 0
 	}
-	ech := ws.ech
-	scratch := ech.TakeScratch()
 	full := false
 	g.ForEachTriangle(func(e1, e2, e3 int32) bool {
-		scratch.Set(int(e1), true)
-		scratch.Set(int(e2), true)
-		scratch.Set(int(e3), true)
-		if _, taken := ech.InsertOwned(scratch); taken {
-			if ech.Rank() == nu {
-				full = true
-				return false
-			}
-			scratch = ech.TakeScratch()
-		}
-		// A rejected scratch comes back zeroed by the reduction.
-		return true
+		t := [3]int32{e1, e2, e3}
+		full = ws.add(t[:])
+		return !full
 	})
-	if full {
+	if full || ws.retry() {
 		return true
 	}
-	if tau == 3 {
-		// The triangles are the only generators ≤ 3 (every 3-cycle is a
-		// 3-clique), so the span is already complete.
-		ech.Recycle(scratch)
+	if tau > 3 {
+		g.ForEachHortonCandidateWith(ws.s, tau, func(_ graph.NodeID, length int, edges []int32) bool {
+			if length > 3 {
+				full = ws.add(edges)
+			}
+			return !full
+		})
+		if full || ws.retry() {
+			return true
+		}
+	}
+	return ws.residue()
+}
+
+// reset points ws at g: co-tree coordinates, every class a singleton,
+// nothing deferred and an empty residue echelon.
+func (ws *Workspace) reset(g *graph.Graph) {
+	m := g.NumEdges()
+	if cap(ws.cot) < m {
+		ws.cot = make([]int32, m)
+	}
+	ws.cot = ws.cot[:m]
+	ws.nu = g.CoTreeInto(ws.s, ws.cot)
+	n := ws.nu + 1
+	if cap(ws.uf) < n {
+		ws.uf, ws.par, ws.lab = make([]int32, n), make([]uint8, n), make([]int32, n)
+	}
+	ws.uf, ws.par, ws.lab = ws.uf[:n], ws.par[:n], ws.lab[:n]
+	for i := range ws.uf {
+		ws.uf[i], ws.lab[i] = -1, -1
+	}
+	ws.rank, ws.nlab = 0, 0
+	ws.def = ws.def[:0]
+	ws.ech.Reset(0)
+}
+
+// find returns the root of x's class, halving the path on the way.
+func (ws *Workspace) find(x int32) int32 {
+	uf := ws.uf
+	for {
+		p := uf[x]
+		if p < 0 {
+			return x
+		}
+		gp := uf[p]
+		if gp < 0 {
+			return p
+		}
+		uf[x] = gp
+		x = gp
+	}
+}
+
+// union merges the classes of the distinct roots a and b by size, except
+// that zero's class keeps zero as its root.
+func (ws *Workspace) union(a, b int32) {
+	uf, zero := ws.uf, int32(ws.nu)
+	if b == zero || (a != zero && uf[b] < uf[a]) {
+		a, b = b, a
+	}
+	uf[a] += uf[b]
+	uf[b] = a
+	ws.rank++
+}
+
+// flip toggles the parity of c's class in the image under construction.
+func (ws *Workspace) flip(c int32) {
+	r := ws.find(c)
+	ws.par[r] ^= 1
+	if ws.par[r] == 1 {
+		ws.img = append(ws.img, r)
+	}
+}
+
+// image completes the image under construction: the roots flipped an odd
+// number of times, zero's dropped. It clears the parities, and the slice
+// it returns is valid until the next flip.
+func (ws *Workspace) image() []int32 {
+	zero := int32(ws.nu)
+	out := ws.img[:0]
+	for _, r := range ws.img {
+		// A root flipped odd, even, odd appears twice; the first visit
+		// clears its parity, so it is kept once.
+		if ws.par[r] == 1 {
+			ws.par[r] = 0
+			if r != zero {
+				out = append(out, r)
+			}
+		}
+	}
+	ws.img = out[:0]
+	return out
+}
+
+// absorb adds a candidate with image img to the span: weight 0 is already
+// spanned, weight 1 merges its class into zero's, weight 2 merges the two
+// classes, and a heavier image is deferred. It reports a merge.
+func (ws *Workspace) absorb(img []int32) bool {
+	switch len(img) {
+	case 0:
+		return false
+	case 1:
+		ws.union(int32(ws.nu), img[0])
+	case 2:
+		ws.union(img[0], img[1])
+	default:
+		ws.def = append(ws.def, int32(len(img)))
+		ws.def = append(ws.def, img...)
 		return false
 	}
-	ws.offs = ws.offs[:0]
-	ws.arena = ws.arena[:0]
-	g.ForEachHortonCandidateWith(ws.s, tau, func(_ graph.NodeID, _ int, edges []int32) bool {
-		ws.offs = append(ws.offs, int32(len(ws.arena)))
-		ws.arena = append(ws.arena, edges...)
-		return true
-	})
-	ws.offs = append(ws.offs, int32(len(ws.arena)))
-	ncand := len(ws.offs) - 1
-	for i := 0; i < ncand; i++ {
-		if abort && ech.Rank()+(ncand-i) < nu {
-			break // even a fully independent tail cannot reach ν
-		}
-		for _, e := range ws.arena[ws.offs[i]:ws.offs[i+1]] {
-			scratch.Set(int(e), true)
-		}
-		if _, taken := ech.InsertOwned(scratch); taken {
-			if ech.Rank() == nu {
-				return true
-			}
-			scratch = ech.TakeScratch()
+	return true
+}
+
+// add inserts the cycle with the given edges and reports full rank.
+func (ws *Workspace) add(edges []int32) bool {
+	for _, e := range edges {
+		if c := ws.cot[e]; c >= 0 {
+			ws.flip(c)
 		}
 	}
-	ech.Recycle(scratch)
+	ws.absorb(ws.image())
+	return ws.rank == ws.nu
+}
+
+// retry re-images the deferred candidates under the current classes, pass
+// after pass until one merges nothing, and reports full rank. Entries
+// still of weight ≥ 3 stay deferred, compacted in place: an image never
+// outgrows the root list it is computed from. After a pass without a
+// merge every stored root is current.
+func (ws *Workspace) retry() bool {
+	for merged := true; merged; {
+		merged = false
+		src := ws.def
+		ws.def = ws.def[:0]
+		for i := 0; i < len(src); {
+			n := int(src[i])
+			for _, r := range src[i+1 : i+1+n] {
+				ws.flip(r)
+			}
+			i += 1 + n
+			if ws.absorb(ws.image()) {
+				merged = true
+				if ws.rank == ws.nu {
+					return true
+				}
+			}
+		}
+	}
 	return false
+}
+
+// residue eliminates the deferred images in ws.ech over the ν − rank
+// classes other than zero's, numbered as they are met, and reports full
+// rank. The stored roots are current: retry ran last.
+func (ws *Workspace) residue() bool {
+	ech := ws.ech
+	ech.Reset(ws.nu - ws.rank)
+	v := ech.TakeScratch()
+	for i := 0; i < len(ws.def); {
+		n := int(ws.def[i])
+		for _, r := range ws.def[i+1 : i+1+n] {
+			v.Set(ws.label(r), true)
+		}
+		i += 1 + n
+		if _, taken := ech.InsertOwned(v); taken {
+			if ws.rank+ech.Rank() == ws.nu {
+				return true
+			}
+			v = ech.TakeScratch()
+		}
+	}
+	// A rejected scratch comes back zeroed by the reduction.
+	ech.Recycle(v)
+	return false
+}
+
+// label returns root r's column in the residue echelon.
+func (ws *Workspace) label(r int32) int {
+	if ws.lab[r] < 0 {
+		ws.lab[r] = ws.nlab
+		ws.nlab++
+	}
+	return int(ws.lab[r])
+}
+
+// contains reports whether target is a sum of cycles of length ≤ tau in g.
+// A target with an odd-degree vertex is no cycle-space element. Otherwise
+// it is in the span when its image is zero or lies in the span of the
+// residue echelon; at full rank it always is.
+func (ws *Workspace) contains(g *graph.Graph, target bitvec.Vector, tau int) bool {
+	if target.Len() != g.NumEdges() {
+		panic(fmt.Sprintf("cycles: target of length %d on a graph with %d edges", target.Len(), g.NumEdges()))
+	}
+	edges := target.Indices()
+	if !evenDegrees(g, edges) {
+		return false
+	}
+	if tau < 3 {
+		return len(edges) == 0
+	}
+	if ws.spansAll(g, tau) {
+		return true
+	}
+	for _, e := range edges {
+		if c := ws.cot[e]; c >= 0 {
+			ws.flip(c)
+		}
+	}
+	img := ws.image()
+	if len(img) == 0 {
+		return true
+	}
+	v := bitvec.New(ws.ech.Len())
+	for _, r := range img {
+		v.Set(ws.label(r), true)
+	}
+	return ws.ech.Spans(v)
+}
+
+// evenDegrees reports whether every vertex of g meets an even number of the
+// given edges, i.e. whether they form a cycle-space element.
+func evenDegrees(g *graph.Graph, edges []int) bool {
+	odd := make([]bool, g.NumNodes())
+	for _, e := range edges {
+		ed := g.EdgeAt(e)
+		u, _ := g.IndexOf(ed.U)
+		v, _ := g.IndexOf(ed.V)
+		odd[u], odd[v] = !odd[u], !odd[v]
+	}
+	for _, o := range odd {
+		if o {
+			return false
+		}
+	}
+	return true
 }

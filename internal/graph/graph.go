@@ -580,6 +580,52 @@ func (g *Graph) CycleSpaceDimWith(s *Scratch) int {
 	return g.NumEdges() - g.NumNodes() + g.numComponentsWith(s)
 }
 
+// CoTreeInto numbers the co-tree of a BFS spanning forest of g whose roots
+// are taken in index order. cot, which must hold at least NumEdges entries,
+// receives −1 for every tree edge and the coordinates 0…ν−1, in edge-index
+// order, for the other edges; the returned ν = m − n + c is the dimension
+// of the cycle space. A cycle-space element is determined by its co-tree
+// edges (each tree edge is then forced by even degree), so this numbering
+// is an isomorphism of the cycle space onto GF(2)^ν. Runs on the caller's
+// scratch, allocation-free once s is warm.
+func (g *Graph) CoTreeInto(s *Scratch, cot []int32) (nu int) {
+	n := len(g.ids)
+	cot = cot[:len(g.edges)]
+	for e := range cot {
+		cot[e] = 0
+	}
+	s.ensure(n)
+	ep := s.nextEpoch()
+	stamp := s.stamp[:n]
+	queue := s.queue[:0]
+	for r := range stamp {
+		if stamp[r] == ep {
+			continue
+		}
+		stamp[r] = ep
+		queue = append(queue[:0], int32(r))
+		for qi := 0; qi < len(queue); qi++ {
+			u := queue[qi]
+			adjE := g.adjEdge[u]
+			for ai, w := range g.adj[u] {
+				if stamp[w] != ep {
+					stamp[w] = ep
+					cot[adjE[ai]] = -1
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	s.queue = queue[:0]
+	for e, c := range cot {
+		if c == 0 {
+			cot[e] = int32(nu)
+			nu++
+		}
+	}
+	return nu
+}
+
 // TwoCore returns the subgraph obtained by repeatedly deleting vertices of
 // degree < 2. The 2-core carries the entire cycle space of the graph, so
 // cycle computations may be restricted to it. The result is freshly

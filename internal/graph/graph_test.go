@@ -324,6 +324,60 @@ func TestTwoCorePreservesCycleSpaceDim(t *testing.T) {
 	}
 }
 
+// TestCoTreeInto checks the co-tree numbering on random graphs with
+// several components: ν is the cycle-space dimension, the coordinates are
+// 0…ν−1 in edge-index order, and the −1 edges form a spanning forest —
+// n − c edges that join every component without closing a cycle.
+func TestCoTreeInto(t *testing.T) {
+	s := NewScratch(nil)
+	var cot []int32
+	f := func(seed int64) bool {
+		g := randomGraph(rand.New(rand.NewSource(seed)), 25, 0.08)
+		cot = append(cot[:0], make([]int32, g.NumEdges())...)
+		nu := g.CoTreeInto(s, cot)
+		if nu != g.CycleSpaceDim() {
+			return false
+		}
+		next := int32(0)
+		comp := make([]int, g.NumNodes()) // union-find over dense indices
+		for i := range comp {
+			comp[i] = i
+		}
+		root := func(x int) int {
+			for comp[x] != x {
+				x = comp[x]
+			}
+			return x
+		}
+		tree := 0
+		for e, c := range cot {
+			if c >= 0 {
+				if c != next {
+					return false
+				}
+				next++
+				continue
+			}
+			ed := g.EdgeAt(e)
+			u, _ := g.IndexOf(ed.U)
+			v, _ := g.IndexOf(ed.V)
+			ru, rv := root(u), root(v)
+			if ru == rv {
+				return false // a tree edge closes a cycle
+			}
+			comp[ru] = rv
+			tree++
+		}
+		return int(next) == nu && tree == g.NumNodes()-g.NumComponents()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if nu := (&Graph{}).CoTreeInto(s, nil); nu != 0 {
+		t.Fatalf("empty graph: ν = %d, want 0", nu)
+	}
+}
+
 func TestShortestPathLen(t *testing.T) {
 	g := Grid(3, 4)
 	if d := g.ShortestPathLen(0, 11); d != 5 {

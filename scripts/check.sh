@@ -120,6 +120,7 @@ grep -q '"class":"deterministic","type":"counter","name":"core.runs"' /tmp/dccsi
 echo "== fuzz smoke (${FUZZTIME} per target)"
 go test -run=NONE -fuzz='^FuzzVectorXOR$' -fuzztime="$FUZZTIME" ./internal/bitvec
 go test -run=NONE -fuzz='^FuzzRank$' -fuzztime="$FUZZTIME" ./internal/bitvec
+go test -run=NONE -fuzz='^FuzzShortSpan$' -fuzztime="$FUZZTIME" ./internal/cycles
 go test -run=NONE -fuzz='^FuzzFrameRoundTrip$' -fuzztime="$FUZZTIME" ./internal/dist
 go test -run=NONE -fuzz='^FuzzCacheConsistency$' -fuzztime="$FUZZTIME" ./internal/vpt
 go test -run=NONE -fuzz='^FuzzScenarioDeterminism$' -fuzztime="$FUZZTIME" ./internal/scenario
