@@ -269,6 +269,11 @@ func (e *Echelon) Rank() int { return e.rank }
 // Len returns the vector length the echelon operates on.
 func (e *Echelon) Len() int { return e.n }
 
+// IsPivot reports whether a stored row has its pivot at column i. The unit
+// vector of a column that is no pivot reduces to itself, so it lies
+// outside the span.
+func (e *Echelon) IsPivot(i int) bool { return e.byPiv[i].n != 0 }
+
 // reduceInPlace eliminates v against the stored rows in place and returns
 // the residue pivot (lowest set bit), or -1 when v reduced to zero. The
 // pivot scan resumes from the previous pivot's word: elimination only

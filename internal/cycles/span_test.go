@@ -168,3 +168,83 @@ func TestResidueEchelon(t *testing.T) {
 		}
 	}
 }
+
+// TestUnspannedCycle checks the witness cycle of a failed span: on the
+// graphs of TestSpanMatchesDenseReference, for τ = 3…9, every "not
+// spanned" verdict yields a simple cycle of the graph that the m-bit
+// reference finds outside the span of the cycles of length ≤ τ, and a
+// spanned verdict yields none.
+func TestUnspannedCycle(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	var graphs []*graph.Graph
+	for _, n := range []int{8, 15, 30, 60, 120} {
+		for _, deg := range []float64{4, 8, 14} {
+			graphs = append(graphs, udgPatch(r, n, deg), udgPatch(r, n, deg))
+		}
+	}
+	for i := 0; i < 12; i++ {
+		graphs = append(graphs, randomConnected(r, 6+r.Intn(14), 0.1+0.3*r.Float64()))
+	}
+	ws := NewWorkspace()
+	unspanned, residues := 0, 0
+	for gi, g := range graphs {
+		for tau := 3; tau <= 9; tau++ {
+			if SpannedByShortWS(g, tau, ws) {
+				if cyc := ws.UnspannedCycle(); cyc != nil {
+					t.Fatalf("graph %d tau=%d: spanned, yet UnspannedCycle = %v", gi, tau, cyc)
+				}
+				continue
+			}
+			unspanned++
+			if ws.ech.Rank() > 0 {
+				residues++
+			}
+			verts := append([]graph.NodeID(nil), ws.UnspannedCycle()...)
+			c, err := FromVertices(g, verts)
+			if err != nil {
+				t.Fatalf("graph %d tau=%d: UnspannedCycle %v is no cycle: %v", gi, tau, verts, err)
+			}
+			if _, err := VertexOrder(g, c); err != nil {
+				t.Fatalf("graph %d tau=%d: UnspannedCycle %v is not simple: %v", gi, tau, verts, err)
+			}
+			if referencePartitionable(g, c.Vector(g.NumEdges()), tau) {
+				t.Fatalf("graph %d tau=%d: UnspannedCycle %v is spanned by cycles of length ≤ %d", gi, tau, verts, tau)
+			}
+		}
+	}
+	if unspanned == 0 || residues == 0 {
+		t.Fatalf("%d unspanned verdicts, %d with a residue echelon: the sweep misses a path", unspanned, residues)
+	}
+	t.Logf("%d unspanned verdicts (%d with a residue echelon) yield unspanned cycles", unspanned, residues)
+}
+
+// TestUnspannedCycleResidueColumn drives the other witness branch by hand:
+// on the 3×3 grid (ν = 4) three weight-3 images label all four classes in
+// the residue echelon at rank 3, so the witness must come from the label
+// column that is no pivot, and its image must lie outside the echelon's
+// span.
+func TestUnspannedCycleResidueColumn(t *testing.T) {
+	g := graph.Grid(3, 3)
+	ws := NewWorkspace()
+	ws.reset(g)
+	for _, img := range [][]int32{{0, 1, 2}, {0, 1, 3}, {0, 2, 3}} {
+		ws.absorb(append([]int32(nil), img...))
+	}
+	if ws.retry() || ws.residue() || ws.nlab != 4 {
+		t.Fatalf("three images: full rank or %d labels, want rank 3 over 4 labels", ws.nlab)
+	}
+	verts := append([]graph.NodeID(nil), ws.UnspannedCycle()...)
+	c, err := FromVertices(g, verts)
+	if err != nil {
+		t.Fatalf("UnspannedCycle %v is no cycle: %v", verts, err)
+	}
+	v := bitvec.New(ws.ech.Len())
+	for _, e := range c.EdgeIndices() {
+		if co := ws.cot[e]; co >= 0 {
+			v.Flip(ws.label(ws.find(co)))
+		}
+	}
+	if ws.ech.Spans(v) {
+		t.Fatalf("UnspannedCycle %v lies in the residue span", verts)
+	}
+}

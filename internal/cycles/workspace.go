@@ -11,10 +11,10 @@ import (
 // under test with the graph scratch of its peel, co-tree numbering and
 // Horton search, and the span engine — the co-tree map, the union-find
 // quotient, the arena of deferred candidates and the residue echelon (with
-// its recycled row storage). A warm Workspace makes SpannedByShortWS
-// allocation-free across the thousands of deletability evaluations a
-// scheduling run performs; it is NOT safe for concurrent use — give each
-// worker its own.
+// its recycled row storage) — plus the node list UnspannedCycle returns. A
+// warm Workspace makes SpannedByShortWS and UnspannedCycle allocation-free
+// across the thousands of deletability evaluations a scheduling run
+// performs; it is NOT safe for concurrent use — give each worker its own.
 //
 // The engine works in co-tree coordinates (Graph.CoTreeInto), where the
 // cycle space is GF(2)^ν. Its span is kept as a partition of the ν
@@ -31,6 +31,7 @@ import (
 type Workspace struct {
 	s    *graph.Scratch
 	core graph.GraphBuf // the 2-core under test, valid until the next test
+	g    *graph.Graph   // the graph spansAll last ran on
 
 	cot  []int32 // edge → co-tree coordinate, −1 on the spanning forest
 	nu   int     // cycle-space dimension; also the zero element's index
@@ -42,6 +43,7 @@ type Workspace struct {
 	ech  *bitvec.Echelon
 	lab  []int32 // root → residue echelon column, −1 until numbered
 	nlab int32
+	cyc  []graph.NodeID // UnspannedCycle's result
 	dbg  debugState
 }
 
@@ -103,6 +105,7 @@ func (ws *Workspace) spansAll(g *graph.Graph, tau int) bool {
 // reset points ws at g: co-tree coordinates, every class a singleton,
 // nothing deferred and an empty residue echelon.
 func (ws *Workspace) reset(g *graph.Graph) {
+	ws.g = g
 	m := g.NumEdges()
 	if cap(ws.cot) < m {
 		ws.cot = make([]int32, m)
@@ -269,6 +272,40 @@ func (ws *Workspace) label(r int32) int {
 		ws.nlab++
 	}
 	return int(ws.lab[r])
+}
+
+// UnspannedCycle returns the nodes, in cycle order, of a cycle of the
+// graph SpannedByShortWS last tested on ws (its 2-core) that the cycles of
+// length ≤ τ do not span, or nil when they span everything. Call it only
+// right after a SpannedByShortWS that returned false; the slice lives in
+// ws until its next use.
+//
+// The cycle is the fundamental cycle, in the co-tree's spanning forest, of
+// the first co-tree coordinate c whose unit vector lies outside the span:
+// c's class is not zero's, and it either has no residue label or its
+// label column is no pivot of the residue echelon. The span is the set of
+// vectors whose class parities lie in the echelon's span, and the parity
+// image of that unit vector is the unit vector of c's label column, which
+// reduces to itself. Such a c exists whenever the rank is short of ν: if
+// every class other than zero's had a label and every label were a pivot,
+// the echelon's rank would cover all of them.
+func (ws *Workspace) UnspannedCycle() []graph.NodeID {
+	zero := int32(ws.nu)
+	for e, c := range ws.cot {
+		if c < 0 {
+			continue
+		}
+		r := ws.find(c)
+		if r == zero || (ws.lab[r] >= 0 && ws.ech.IsPivot(int(ws.lab[r]))) {
+			continue
+		}
+		ws.cyc = ws.cyc[:0]
+		for _, i := range ws.g.FundamentalCycleInto(ws.s, ws.cot, e) {
+			ws.cyc = append(ws.cyc, ws.g.NodeAt(int(i)))
+		}
+		return ws.cyc
+	}
+	return nil
 }
 
 // contains reports whether target is a sum of cycles of length ≤ tau in g.

@@ -1,5 +1,7 @@
 package graph
 
+import "math/bits"
+
 // DeleteView is a deletion overlay over an immutable base Graph: vertices
 // are marked dead in O(1) instead of rebuilding the graph after every
 // deletion round. All queries see only the live subgraph. The overlay is
@@ -194,21 +196,20 @@ func (d *DeleteView) ExtractNeighborhoodInto(v NodeID, k int, s *Scratch, b *Gra
 	return sub, b.direct
 }
 
-// FNV-1a 64-bit parameters for NeighborhoodFingerprint.
+// Mixing constants for NeighborhoodFingerprint: the seed and the two odd
+// multipliers of xxHash64's accumulator round.
 const (
-	fnvOffset64 = 0xcbf29ce484222325
-	fnvPrime64  = 0x1099511628211
+	mixSeed   = 0xcbf29ce484222325
+	mixPrime1 = 0x9e3779b185ebca87
+	mixPrime2 = 0xc2b2ae3d27d4eb4f
 )
 
-// fnvMix folds one 64-bit word into an FNV-1a hash, byte by byte so the
-// diffusion matches the reference function.
-func fnvMix(h, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= fnvPrime64
-		x >>= 8
-	}
-	return h
+// mix folds one 64-bit word into the running hash h with one
+// multiply-rotate round. For a fixed h it is a bijection of x, and for a
+// fixed x a bijection of h, so two word sequences that differ anywhere
+// collide only by a 64-bit accident.
+func mix(h, x uint64) uint64 {
+	return bits.RotateLeft64(h^x*mixPrime2, 31) * mixPrime1
 }
 
 // NeighborhoodFingerprint hashes the structure the deletability verdict of
@@ -218,7 +219,7 @@ func fnvMix(h, x uint64) uint64 {
 // is hashed over node IDs, never base indices, so fingerprints are
 // comparable across views over structurally different base graphs: two
 // views agree on the fingerprint iff v's k-hop neighbourhood is identical
-// as a labelled graph (modulo 64-bit FNV-1a collisions). Returns 0 when v
+// as a labelled graph (modulo 64-bit hash collisions). Returns 0 when v
 // is dead or absent — 0 is reserved and never produced for a live vertex.
 //
 // This is the memo key of the streaming engine's verdict cache
@@ -235,16 +236,15 @@ func (d *DeleteView) NeighborhoodFingerprint(v NodeID, k int, s *Scratch) uint64
 	// the membership test the restriction needs.
 	ball := d.ballIdx(vi, k, s)
 	ep := s.epoch
-	h := uint64(fnvOffset64)
-	h = fnvMix(h, uint64(len(ball))+1)
+	h := mix(mixSeed, uint64(len(ball))+1)
 	hashAdj := func(xi int32) uint64 {
-		h = fnvMix(h, uint64(d.g.ids[xi]))
+		h = mix(h, uint64(d.g.ids[xi]))
 		for _, w := range d.g.adj[xi] {
 			if !d.gone[w] && s.stamp[w] == ep {
-				h = fnvMix(h, uint64(d.g.ids[w])^0x9e3779b97f4a7c15)
+				h = mix(h, uint64(d.g.ids[w])^0x9e3779b97f4a7c15)
 			}
 		}
-		return fnvMix(h, 0xfe)
+		return mix(h, 0xfe)
 	}
 	h = hashAdj(int32(vi))
 	for _, bi := range ball {

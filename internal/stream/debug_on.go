@@ -9,24 +9,36 @@ import (
 	"dcc/internal/vpt"
 )
 
-// debugMemoCheckLimit caps the number of memo hits cross-checked per
-// process: enough to catch a fingerprint-collision or staleness bug in any
-// test, cheap enough to leave on for the whole dccdebug suite.
-const debugMemoCheckLimit = 4096
+// debugCheckLimit caps the number of memo hits, and separately of
+// witness hits, cross-checked per process: enough to catch a
+// fingerprint-collision, witness or staleness bug in any test, cheap
+// enough to leave on for the whole dccdebug suite.
+const debugCheckLimit = 4096
 
-var debugMemoChecks int
+var debugMemoChecks, debugWitnessChecks int
 
 // debugCheckMemoVerdict re-derives a memoized deletability verdict from
 // the residual neighborhood and panics on disagreement — the soundness
 // check behind the memo: fingerprint equality must imply verdict equality.
 func debugCheckMemoVerdict(cache *vpt.Cache, v graph.NodeID, memoized bool, s *graph.Scratch, t *vpt.Tester) {
-	if debugMemoChecks >= debugMemoCheckLimit {
+	debugCheckServed(&debugMemoChecks, "memoized", "fingerprint collision or stale memo", cache, v, memoized, s, t)
+}
+
+// debugCheckWitnessHit re-derives a verdict the election's cache kept
+// across a deletion that missed its witness — the soundness check behind
+// witness-carrying "no" verdicts.
+func debugCheckWitnessHit(cache *vpt.Cache, v graph.NodeID, kept bool, s *graph.Scratch, t *vpt.Tester) {
+	debugCheckServed(&debugWitnessChecks, "witness-kept", "witness missed a change", cache, v, kept, s, t)
+}
+
+func debugCheckServed(checks *int, what, cause string, cache *vpt.Cache, v graph.NodeID, served bool, s *graph.Scratch, t *vpt.Tester) {
+	if *checks >= debugCheckLimit {
 		return
 	}
-	debugMemoChecks++
-	if fresh := cache.ComputeFresh(v, s, t); fresh != memoized {
-		panic(fmt.Sprintf("stream: memoized verdict for node %d is %v, fresh computation says %v (fingerprint collision or stale memo)",
-			v, memoized, fresh))
+	*checks++
+	if fresh := cache.ComputeFresh(v, s, t); fresh != served {
+		panic(fmt.Sprintf("stream: %s verdict for node %d is %v, fresh computation says %v (%s)",
+			what, v, served, fresh, cause))
 	}
 }
 

@@ -86,11 +86,12 @@ type Stats struct {
 	FastRestores int // rejoins served by the O(1) overlay Restore
 
 	// Election.
-	Elections  int
-	Tests      int // deletability verdicts requested by the canonical loop
-	MemoHits   int // verdicts served by the neighborhood-fingerprint memo
-	MemoMisses int
-	MemoResets int // wholesale memo drops at MemoLimit
+	Elections   int
+	Tests       int // deletability verdicts requested by the canonical loop
+	MemoHits    int // verdicts served by the neighborhood-fingerprint memo
+	MemoMisses  int
+	MemoResets  int // wholesale memo drops at MemoLimit
+	WitnessHits int // re-tests of refuted nodes the election's cache answered: Tests = MemoHits + MemoMisses + WitnessHits
 
 	// Durability.
 	WALBytes  int64
@@ -106,7 +107,8 @@ type Rejection struct {
 // memoKey identifies a deletability verdict: the vertex plus the
 // fingerprint of its k-hop neighborhood on the residual it was judged
 // against. Equal fingerprints mean isomorphic (indeed identically labeled)
-// neighborhoods, which the verdict is a pure function of.
+// neighborhoods, which the verdict — and the witness of a "no", which
+// names node IDs — is a pure function of.
 type memoKey struct {
 	v  graph.NodeID
 	fp uint64
@@ -133,7 +135,7 @@ type Engine struct {
 	watermark uint64 // highest admitted sequence number
 	pending   []Event
 
-	memo      map[memoKey]bool
+	memo      map[memoKey]vpt.Verdict
 	memoLimit int
 
 	cover      []graph.NodeID // live internal nodes after the last election
@@ -157,7 +159,7 @@ type telHandles struct {
 	admitted, applied, rejected, duplicates, coalesced *telemetry.Counter
 	rebuilds, fastRestores                             *telemetry.Counter
 	elections, tests, memoHits, memoMisses, memoResets *telemetry.Counter
-	walBytes, snapshots                                *telemetry.Counter
+	witnessHits, walBytes, snapshots                   *telemetry.Counter
 	watermark, pending, live                           *telemetry.Gauge
 }
 
@@ -175,6 +177,7 @@ func newTelHandles(reg *telemetry.Registry) telHandles {
 		memoHits:     reg.Counter("stream.memo_hits"),
 		memoMisses:   reg.Counter("stream.memo_misses"),
 		memoResets:   reg.Counter("stream.memo_resets"),
+		witnessHits:  reg.Counter("stream.witness_hits"),
 		walBytes:     reg.Counter("stream.wal_bytes"),
 		snapshots:    reg.Counter("stream.snapshots"),
 		watermark:    reg.Gauge("stream.watermark"),
@@ -205,6 +208,7 @@ func (e *Engine) publish() {
 	pubInt(e.th.memoHits, &p.MemoHits, s.MemoHits)
 	pubInt(e.th.memoMisses, &p.MemoMisses, s.MemoMisses)
 	pubInt(e.th.memoResets, &p.MemoResets, s.MemoResets)
+	pubInt(e.th.witnessHits, &p.WitnessHits, s.WitnessHits)
 	pubInt64(e.th.walBytes, &p.WALBytes, s.WALBytes)
 	pubInt(e.th.snapshots, &p.Snapshots, s.Snapshots)
 	e.th.watermark.Set(int64(e.watermark))
@@ -265,7 +269,7 @@ func New(net core.Network, cfg Config) (*Engine, error) {
 		k:         vpt.NeighborhoodRadius(cfg.Tau),
 		seed:      cfg.Seed,
 		cfg:       cfg,
-		memo:      make(map[memoKey]bool),
+		memo:      make(map[memoKey]vpt.Verdict),
 		memoLimit: cfg.MemoLimit,
 		tester:    vpt.NewTester(),
 		encBuf:    make([]byte, 0, maxEventRecordLen),
@@ -515,7 +519,10 @@ func (e *Engine) flush() {
 // ≤⌈τ/2⌉-hop dirty region — every fingerprint outside it is unchanged.
 // Memo hits cannot change the outcome (fingerprint equality implies
 // identically labeled neighborhoods), so the cover stays a pure function
-// of the topology; the dccdebug build re-derives every hit to prove it.
+// of the topology; the dccdebug build re-derives a capped number of hits
+// to prove it. A memo-served "no" enters the cache with its witness, so a
+// re-test after a deletion that misses the witness is answered by the
+// cache without a fingerprint (Stats.WitnessHits).
 func (e *Engine) elect() {
 	if !e.coverStale {
 		return
@@ -528,21 +535,27 @@ func (e *Engine) elect() {
 	view := cache.View()
 	scratch := graph.NewScratch(live)
 	test := func(v graph.NodeID) bool {
+		if x, ok := cache.Cached(v); ok {
+			e.stats.WitnessHits++
+			debugCheckWitnessHit(cache, v, x.Deletable(), scratch, e.tester)
+			return x.Deletable()
+		}
 		fp := view.NeighborhoodFingerprint(v, e.k, scratch)
 		key := memoKey{v: v, fp: fp}
-		if verdict, ok := e.memo[key]; ok {
+		if x, ok := e.memo[key]; ok {
 			e.stats.MemoHits++
-			debugCheckMemoVerdict(cache, v, verdict, scratch, e.tester)
-			cache.Store(v, verdict)
-			return verdict
+			debugCheckMemoVerdict(cache, v, x.Deletable(), scratch, e.tester)
+			cache.StoreVerdict(v, x)
+			return x.Deletable()
 		}
 		e.stats.MemoMisses++
 		verdict := cache.Deletable(v)
+		x, _ := cache.Cached(v)
 		if len(e.memo) >= e.memoLimit {
-			e.memo = make(map[memoKey]bool)
+			e.memo = make(map[memoKey]vpt.Verdict)
 			e.stats.MemoResets++
 		}
-		e.memo[key] = verdict
+		e.memo[key] = x
 		return verdict
 	}
 	net := core.Network{G: live, Boundary: e.boundary, BoundaryCycles: e.cycles}

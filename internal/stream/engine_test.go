@@ -391,6 +391,31 @@ func TestEngineMemoEffectiveness(t *testing.T) {
 	}
 }
 
+// TestEngineWitnessHits: inside an election, re-tests of refuted nodes
+// whose witness the deletions missed are answered by the cache, and every
+// test is served exactly one way — by the cache, the memo, or a fresh
+// verdict — also when the memo is dropped over and over.
+func TestEngineWitnessHits(t *testing.T) {
+	net, pos := testDeploy(t, 85, 8, 8, 1.6)
+	for _, limit := range []int{0, 4} {
+		e, err := New(net, Config{Tau: 4, Seed: 5, Positions: pos, MemoLimit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMutator(net, Config{Radius: 1.6, Positions: pos}, 86)
+		for seq := 1; seq <= 30; seq++ {
+			if err := e.Step(m.Next()); err != nil && !errors.Is(err, ErrInvalidEvent) {
+				t.Fatal(err)
+			}
+			e.Cover()
+		}
+		s := e.Stats()
+		if s.WitnessHits == 0 || s.Tests != s.MemoHits+s.MemoMisses+s.WitnessHits {
+			t.Fatalf("memo limit %d: stats %+v: want witness hits, and Tests = MemoHits + MemoMisses + WitnessHits", limit, s)
+		}
+	}
+}
+
 func TestCoverFingerprintOfCanonicalizes(t *testing.T) {
 	nodes := []NodeAt{{ID: 1, X: 0.5}, {ID: 2, Y: 1}, {ID: 7}}
 	edges := []graph.Edge{{U: 1, V: 2}, {U: 7, V: 2}}

@@ -97,6 +97,7 @@ func TestEngineTelemetryMirrorsStats(t *testing.T) {
 		{"stream.memo_hits", int64(s.MemoHits)},
 		{"stream.memo_misses", int64(s.MemoMisses)},
 		{"stream.memo_resets", int64(s.MemoResets)},
+		{"stream.witness_hits", int64(s.WitnessHits)},
 		{"stream.wal_bytes", s.WALBytes},
 		{"stream.snapshots", int64(s.Snapshots)},
 	} {

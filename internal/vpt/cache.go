@@ -9,17 +9,20 @@ import (
 )
 
 // Tester bundles the reusable state of a deletability-testing worker: the
-// graph scratch of the connectivity and void-confinement searches, the
-// storage of the extracted neighbourhood graph, and the GF(2) elimination
-// workspace (which holds the 2-core). A warm Tester makes a verdict
-// allocation-free across the thousands of evaluations a scheduling run
-// performs. The neighbourhood and 2-core graphs of a verdict live in the
-// Tester and stay valid until its next verdict. Not safe for concurrent
-// use — give each worker its own.
+// graph scratch of the connectivity, void-confinement and witness
+// searches, the storage of the extracted neighbourhood graph, the GF(2)
+// elimination workspace (which holds the 2-core) and the witness of the
+// last "no". A warm Tester makes a verdict allocation-free across the
+// thousands of evaluations a scheduling run performs. The neighbourhood
+// and 2-core graphs of a verdict live in the Tester and stay valid until
+// its next verdict. Not safe for concurrent use — give each worker its
+// own.
 type Tester struct {
 	s    *graph.Scratch
 	ball graph.GraphBuf // Γ^k(v) of the Cache's current verdict
 	ws   *cycles.Workspace
+	wit  []graph.NodeID // witness of the Cache's last "no" (judge)
+	kind Refutation     // and its kind
 }
 
 // NewTester returns an empty Tester.
@@ -31,32 +34,14 @@ func NewTester() *Tester {
 // evaluated with the Tester's reusable buffers — identical verdict, no
 // allocations once the Tester is warm.
 func (t *Tester) NeighborhoodDeletable(neighborhood *graph.Graph, directNeighbors []graph.NodeID, tau int) bool {
-	if neighborhood.NumNodes() == 0 {
-		return false
-	}
-	if !neighborhood.IsConnectedWith(t.s) {
-		return false
-	}
-	// The void is confined when the candidate lies on a cycle of length
-	// ≤ tau: two of its direct neighbours are joined inside the
-	// neighbourhood graph (candidate excluded) by a path of ≤ tau−2 hops.
-	if !neighborhood.AnyPairWithin(directNeighbors, tau-2, t.s) {
-		return false
-	}
-	return cycles.SpannedByShortWS(neighborhood, tau, t.ws)
+	return t.judge(neighborhood, directNeighbors, tau).Deletable()
 }
-
-// Verdict cache values.
-const (
-	verdictUnknown int8 = -1
-	verdictNo      int8 = 0
-	verdictYes     int8 = 1
-)
 
 // Cache is the incremental deletability engine: it memoizes the
 // VertexDeletable verdict per node over a deletion overlay of the base
-// graph, and invalidates exactly the ≤ k-hop ball (k = ⌈τ/2⌉) around each
-// vertex removed by a committed round.
+// graph, and invalidates the ≤ k-hop ball (k = ⌈τ/2⌉) around each vertex
+// removed by a committed round — except the "no" verdicts whose witness
+// the removal misses (see Verdict), which provably stay "no".
 //
 // Soundness of the dirty radius (see DESIGN.md §11 for the proof sketch):
 // the verdict of v depends only on Γ^k(v), the subgraph induced by the
@@ -75,19 +60,20 @@ type Cache struct {
 	g       *graph.Graph
 	tau, k  int
 	view    *graph.DeleteView
-	verdict []int8 // by base dense index
+	verdict []Verdict // by base dense index
 	scratch *graph.Scratch
 	tester  *Tester
 	dirty   []int32 // Commit/Remove's union of dirty balls, reused
 	stats   CacheStats
 
 	// Telemetry handles, nil (no-op) unless Instrument was called. All
-	// three counters and the dirty-ball histogram are deterministic-class:
+	// counters and the dirty-ball histogram are deterministic-class:
 	// CacheStats is worker-count-invariant by the fixed-chunk decomposition
 	// of core's parallel engine, and the Commit/Restore dirty sets are a
 	// pure function of the deletion history.
-	telLookups, telComputes, telInvalidated *telemetry.Counter
-	telDirty                                *telemetry.Hist
+	telLookups, telComputes, telInvalidated, telKept *telemetry.Counter
+	telRefuted                                       [NumRefutations]*telemetry.Counter
+	telDirty                                         *telemetry.Hist
 }
 
 // dirtyBallBounds buckets Commit/Restore dirty-set sizes: the k-hop ball
@@ -95,10 +81,11 @@ type Cache struct {
 // on, so power-of-two resolution up to 1024 is plenty.
 var dirtyBallBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// Instrument attaches the cache to reg: vpt.lookups, vpt.computes and
-// vpt.invalidated counters plus the vpt.dirty_ball histogram of
-// Commit/Restore dirty-set sizes. A nil reg leaves the cache
-// uninstrumented (all handles stay nil-safe no-ops).
+// Instrument attaches the cache to reg: the vpt.lookups, vpt.computes,
+// vpt.invalidated and vpt.kept counters, one vpt.refuted_<kind> counter
+// per Refutation, and the vpt.dirty_ball histogram of Commit/Restore
+// dirty-set sizes. A nil reg leaves the cache uninstrumented (all handles
+// stay nil-safe no-ops).
 func (c *Cache) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -106,6 +93,10 @@ func (c *Cache) Instrument(reg *telemetry.Registry) {
 	c.telLookups = reg.Counter("vpt.lookups")
 	c.telComputes = reg.Counter("vpt.computes")
 	c.telInvalidated = reg.Counter("vpt.invalidated")
+	c.telKept = reg.Counter("vpt.kept")
+	for k, name := range refutationNames {
+		c.telRefuted[k] = reg.Counter("vpt.refuted_" + name)
+	}
 	c.telDirty = reg.Histogram("vpt.dirty_ball", dirtyBallBounds)
 }
 
@@ -116,8 +107,14 @@ type CacheStats struct {
 	// Computes counts actual verdict evaluations (cache misses plus
 	// ComputeFresh calls published via Store are not included).
 	Computes int
-	// Invalidated counts verdict entries reset by Commit/Remove.
+	// Invalidated counts verdict entries reset by Commit/Remove/Restore.
 	Invalidated int
+	// Kept counts the cached "no" verdicts of Commit/Remove dirty sets that
+	// stayed cached because no removed node may belong to their witness.
+	Kept int
+	// Refuted splits the "no" verdicts Deletable computed by the
+	// Refutation that decided them.
+	Refuted [NumRefutations]int
 }
 
 // NewCache returns a cache over g for confine size tau (≥ 3; smaller
@@ -129,7 +126,7 @@ func NewCache(g *graph.Graph, tau int) *Cache {
 		tau:     tau,
 		k:       NeighborhoodRadius(tau),
 		view:    graph.NewDeleteView(g),
-		verdict: make([]int8, g.NumNodes()),
+		verdict: make([]Verdict, g.NumNodes()),
 		scratch: graph.NewScratch(g),
 		tester:  NewTester(),
 	}
@@ -164,9 +161,10 @@ func (c *Cache) LiveGraph() *graph.Graph { return c.view.Materialize() }
 func (c *Cache) Stats() CacheStats { return c.stats }
 
 // Deletable returns VertexDeletable(live graph, v, tau), memoized: a clean
-// cached verdict is returned as-is (the dirty-radius invariant guarantees
-// it equals fresh recomputation), a stale one is recomputed with the
-// cache-owned scratch. Dead or absent vertices are never deletable.
+// cached verdict is returned as-is (the dirty-radius invariant and the
+// witness argument guarantee it equals fresh recomputation), a stale one
+// is recomputed, with its witness, on the cache-owned scratch. Dead or
+// absent vertices are never deletable.
 //
 //lint:hotpath
 func (c *Cache) Deletable(v graph.NodeID) bool {
@@ -177,11 +175,29 @@ func (c *Cache) Deletable(v graph.NodeID) bool {
 	c.stats.Lookups++
 	c.telLookups.Inc()
 	if c.verdict[i] == verdictUnknown {
-		c.verdict[i] = c.compute(v, c.scratch, c.tester)
+		x := c.compute(v, c.scratch, c.tester)
+		c.verdict[i] = x
 		c.stats.Computes++
 		c.telComputes.Inc()
+		if !x.Deletable() {
+			c.stats.Refuted[c.tester.kind]++
+			c.telRefuted[c.tester.kind].Inc()
+		}
 	}
-	return c.verdict[i] == verdictYes
+	return c.verdict[i].Deletable()
+}
+
+// Cached returns the clean cached verdict of the live vertex v, with ok
+// false when there is none: v is dead, absent, never judged or dirtied
+// since. A cached verdict equals fresh recomputation, so a caller holding
+// one may skip the test — the streaming engine answers re-tests of
+// refuted nodes this way, before it computes a fingerprint.
+func (c *Cache) Cached(v graph.NodeID) (x Verdict, ok bool) {
+	i, ok := c.g.IndexOf(v)
+	if !ok || !c.view.Alive(v) || c.verdict[i] == verdictUnknown {
+		return 0, false
+	}
+	return c.verdict[i], true
 }
 
 // ComputeFresh evaluates the verdict for v with caller-owned scratch,
@@ -194,45 +210,55 @@ func (c *Cache) ComputeFresh(v graph.NodeID, s *graph.Scratch, t *Tester) bool {
 	if !c.view.Alive(v) {
 		return false
 	}
-	return c.compute(v, s, t) == verdictYes
+	return c.compute(v, s, t).Deletable()
 }
 
 // Store publishes an externally computed verdict (from ComputeFresh) into
-// the memo. The caller must ensure no Commit/Remove happened between the
-// computation and the store.
+// the memo. A "no" stored this way carries no witness, so any removal in
+// its ball invalidates it. The caller must ensure no Commit/Remove
+// happened between the computation and the store.
 func (c *Cache) Store(v graph.NodeID, deletable bool) {
+	if deletable {
+		c.StoreVerdict(v, VerdictDeletable)
+	} else {
+		c.StoreVerdict(v, refutedAnywhere)
+	}
+}
+
+// StoreVerdict publishes a verdict with its witness signature, as Cached
+// returned it from a Cache over the same labelled Γ^k(v) — the streaming
+// engine's memo hits. The caller must ensure it equals fresh computation
+// on the current live view.
+func (c *Cache) StoreVerdict(v graph.NodeID, x Verdict) {
 	i, ok := c.g.IndexOf(v)
 	if !ok || !c.view.Alive(v) {
 		return
 	}
-	if deletable {
-		c.verdict[i] = verdictYes
-	} else {
-		c.verdict[i] = verdictNo
-	}
+	c.verdict[i] = x
 }
 
-func (c *Cache) compute(v graph.NodeID, s *graph.Scratch, t *Tester) int8 {
-	res := false
+// compute judges the live vertex v on caller-owned scratch, with the
+// witness of a "no" left in t.
+func (c *Cache) compute(v graph.NodeID, s *graph.Scratch, t *Tester) Verdict {
+	var sub *graph.Graph
+	var direct []graph.NodeID
 	if c.tau >= 3 {
-		sub, direct := c.view.ExtractNeighborhoodInto(v, c.k, s, &t.ball)
-		if sub != nil && sub.NumNodes() > 0 {
-			res = t.NeighborhoodDeletable(sub, direct, c.tau)
-		}
+		sub, direct = c.view.ExtractNeighborhoodInto(v, c.k, s, &t.ball)
 	}
-	debugCheckCacheVerdict(c, v, res)
-	if res {
-		return verdictYes
-	}
-	return verdictNo
+	x := t.judge(sub, direct, c.tau)
+	debugCheckCacheVerdict(c, v, x.Deletable())
+	debugCheckWitness(c, v, x, t)
+	return x
 }
 
 // Commit removes a set of vertices deleted by the scheduler and
-// invalidates every cached verdict within k live-path hops of a removed
+// invalidates the cached verdicts within k live-path hops of a removed
 // vertex (balls measured on the pre-removal view — distances only grow
-// under deletion, so this covers every vertex whose Γ^k changed). It
-// returns the dirtied live vertices in increasing ID order: exactly the
-// nodes whose verdict may have changed and must be retested.
+// under deletion, so this covers every vertex whose Γ^k changed), except
+// the "no" verdicts none of whose witness signatures the removed vertices
+// touch: those stay cached. It returns the whole dirty region, the live
+// vertices of those balls in increasing ID order — the nodes a scheduler
+// re-tests; the kept ones answer from the cache.
 func (c *Cache) Commit(deleted []graph.NodeID) []graph.NodeID {
 	return c.remove(deleted)
 }
@@ -290,17 +316,25 @@ func (c *Cache) Restore(v graph.NodeID) []graph.NodeID {
 }
 
 func (c *Cache) remove(del []graph.NodeID) []graph.NodeID {
-	// Union of the pre-removal k-hop balls. KHopBallIndices reuses the
-	// scratch ball buffer, so copy per vertex.
+	// Union of the pre-removal k-hop balls, marking stale the verdicts a
+	// removed vertex touches. KHopBallIndices reuses the scratch ball
+	// buffer, so copy per vertex.
 	dirty := c.dirty[:0]
 	for _, v := range del {
-		dirty = append(dirty, c.view.KHopBallIndices(v, c.k, c.scratch)...)
+		ball := c.view.KHopBallIndices(v, c.k, c.scratch)
+		m := probes(v)
+		for _, bi := range ball {
+			if c.verdict[bi].touchedBy(m) {
+				c.verdict[bi] = verdictStale
+			}
+		}
+		dirty = append(dirty, ball...)
 	}
 	c.dirty = dirty
 	for _, v := range del {
 		if c.view.Delete(v) {
 			if i, ok := c.g.IndexOf(v); ok {
-				c.verdict[i] = verdictNo // dead vertices are never deletable
+				c.verdict[i] = 0 // dead vertices are never deletable
 			}
 		}
 	}
@@ -314,11 +348,16 @@ func (c *Cache) remove(del []graph.NodeID) []graph.NodeID {
 		if !c.view.Alive(id) {
 			continue // removed alongside v in the same batch
 		}
-		if c.verdict[bi] != verdictUnknown {
+		switch c.verdict[bi] {
+		case verdictUnknown:
+		case verdictStale:
 			c.stats.Invalidated++
 			c.telInvalidated.Inc()
+			c.verdict[bi] = verdictUnknown
+		default:
+			c.stats.Kept++
+			c.telKept.Inc()
 		}
-		c.verdict[bi] = verdictUnknown
 		out = append(out, id)
 	}
 	c.telDirty.Observe(int64(len(out)))

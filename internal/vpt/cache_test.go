@@ -129,8 +129,9 @@ func TestCacheTauThreeMinimumRadius(t *testing.T) {
 		t.Fatalf("tau=3 radius = %d, want 2", c.Radius())
 	}
 	// Warm every verdict, then delete the center and re-check everything —
-	// vertices ≤2 hops away must be recomputed, those beyond must still be
-	// correct without recomputation.
+	// vertices ≤2 hops away must be recomputed unless their witness misses
+	// the center, those beyond must still be correct without
+	// recomputation.
 	for _, v := range c.LiveNodes() {
 		c.Deletable(v)
 	}
@@ -142,8 +143,12 @@ func TestCacheTauThreeMinimumRadius(t *testing.T) {
 	if recomputed > len(dirty) {
 		t.Fatalf("recomputed %d verdicts, but only %d were dirtied", recomputed, len(dirty))
 	}
-	if inv := c.Stats().Invalidated; inv != len(dirty) {
-		t.Fatalf("Invalidated = %d, want %d (all warm)", inv, len(dirty))
+	st := c.Stats()
+	if st.Invalidated+st.Kept != len(dirty) {
+		t.Fatalf("Invalidated %d + Kept %d, want %d (all warm)", st.Invalidated, st.Kept, len(dirty))
+	}
+	if st.Kept == 0 {
+		t.Fatal("no dirty verdict was kept by its witness")
 	}
 }
 
@@ -304,12 +309,20 @@ func sortNodeIDs(vs []graph.NodeID) {
 // Commit/Remove/Restore sequences on random connected graphs and asserts
 // every live verdict always equals fresh recomputation — the end-to-end
 // statement of the dirty-radius soundness argument, in both directions
-// (deletions shrink the live graph, restores grow it back).
+// (deletions shrink the live graph, restores grow it back), and of the
+// witness argument: a dirty "no" whose witness a removal missed is
+// answered from the cache. The last four seeds keep many such verdicts,
+// of every kind a removal can miss: disconnected, unconfined and
+// unspanned.
 func FuzzCacheConsistency(f *testing.F) {
 	f.Add(int64(1), 12, 3)
 	f.Add(int64(2), 20, 4)
 	f.Add(int64(3), 16, 5)
 	f.Add(int64(4), 24, 6)
+	f.Add(int64(59), 20, 4) // kept: 21 disconnected, 4 unconfined, 4 unspanned
+	f.Add(int64(10), 24, 3) // kept: 43 unconfined, 27 unspanned
+	f.Add(int64(43), 30, 3) // kept: 10 unconfined, 110 unspanned
+	f.Add(int64(56), 30, 5) // kept: 2 unconfined, 83 unspanned
 	f.Fuzz(func(t *testing.T, seed int64, n, tau int) {
 		if n < 4 || n > 40 || tau < 3 || tau > 8 {
 			t.Skip()
@@ -360,9 +373,11 @@ func FuzzCacheConsistency(f *testing.F) {
 
 // TestVerdictAllocs pins the allocation-free verdict: on a warm Tester and
 // Scratch, a sweep of Cache.ComputeFresh over every node of a 400-node
-// unit-disk graph allocates nothing, for every τ the benchmarks use. The
-// neighbourhood graph, its 2-core, the search state and the GF(2) rows
-// all live in reused storage.
+// unit-disk graph allocates nothing, for every τ the benchmarks use, and
+// neither does a sweep of Cache.Deletable over a forgotten memo, which
+// also extracts the witness of every "no". The neighbourhood graph, its
+// 2-core, the search state, the GF(2) rows and the witness all live in
+// reused storage.
 func TestVerdictAllocs(t *testing.T) {
 	pts := geom.UniformPoints(rand.New(rand.NewSource(1)), 400, geom.Square(12))
 	g := geom.UDG(pts, 1.2)
@@ -371,7 +386,7 @@ func TestVerdictAllocs(t *testing.T) {
 		c := NewCache(g, tau)
 		s, tr := graph.NewScratch(g), NewTester()
 		deletable := 0
-		sweep := func() {
+		fresh := func() {
 			deletable = 0
 			for _, v := range nodes {
 				if c.ComputeFresh(v, s, tr) {
@@ -379,13 +394,29 @@ func TestVerdictAllocs(t *testing.T) {
 				}
 			}
 		}
-		sweep() // warm every buffer to the sweep's largest neighbourhood
-		if allocs := testing.AllocsPerRun(1, sweep); allocs != 0 {
-			t.Errorf("tau=%d: a warm sweep of %d verdicts made %.0f allocations (%.1f per verdict), want 0",
-				tau, len(nodes), allocs, allocs/float64(len(nodes)))
+		memo := func() {
+			for i := range c.verdict {
+				c.verdict[i] = verdictUnknown
+			}
+			for _, v := range nodes {
+				c.Deletable(v)
+			}
+		}
+		for _, sweep := range []struct {
+			name string
+			run  func()
+		}{{"ComputeFresh", fresh}, {"Deletable", memo}} {
+			sweep.run() // warm every buffer to the sweep's largest neighbourhood
+			if allocs := testing.AllocsPerRun(1, sweep.run); allocs != 0 {
+				t.Errorf("tau=%d: a warm %s sweep of %d verdicts made %.0f allocations (%.1f per verdict), want 0",
+					tau, sweep.name, len(nodes), allocs, allocs/float64(len(nodes)))
+			}
 		}
 		if deletable == 0 || deletable == len(nodes) {
 			t.Fatalf("tau=%d: degenerate instance, %d of %d nodes deletable", tau, deletable, len(nodes))
+		}
+		if st := c.Stats(); st.Refuted[RefutedUnspanned] == 0 {
+			t.Fatalf("tau=%d: no unspanned refutation, so no witness cycle was extracted: %+v", tau, st)
 		}
 	}
 }

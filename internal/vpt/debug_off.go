@@ -10,3 +10,5 @@ import "dcc/internal/graph"
 func debugCheckCacheVerdict(*Cache, graph.NodeID, bool) {}
 
 func debugAuditClean(*Cache) {}
+
+func debugCheckWitness(*Cache, graph.NodeID, Verdict, *Tester) {}

@@ -10,16 +10,17 @@ import (
 
 // Deep assertions for the incremental deletability engine (-tags dccdebug):
 // every cached verdict must equal a from-scratch recomputation on a freshly
-// materialized graph, and after every Commit/Remove the surviving clean
-// verdicts must still be fresh (the dirty-set audit — the k-hop
-// invalidation radius really covered everything that changed).
+// materialized graph, the witness of every computed "no" must refute on
+// its own, and after every Commit/Remove the surviving clean verdicts must
+// still be fresh (the dirty-set audit — the k-hop invalidation radius and
+// the witnesses of the kept "no"s really covered everything that changed).
 //
-// Both checks rebuild the live graph and re-run the full non-incremental
+// The checks rebuild the live graph and re-run the full non-incremental
 // test, so they are gated to small instances to keep dccdebug test runs
 // tractable; unit tests exercise them on purpose-built graphs under the
 // limits.
 const (
-	debugVerdictLimit = 200 // max live nodes for the per-compute cross-check
+	debugVerdictLimit = 200 // max live nodes for the per-compute cross-checks
 	debugAuditLimit   = 64  // max live nodes for the post-commit audit
 )
 
@@ -49,9 +50,36 @@ func debugAuditClean(c *Cache) {
 			continue
 		}
 		want := VertexDeletable(fresh, v, c.tau)
-		if got := c.verdict[i] == verdictYes; got != want {
+		if got := c.verdict[i].Deletable(); got != want {
 			panic(fmt.Sprintf("vpt debug: dirty-set audit: node %d cached %v but fresh %v after removal (tau=%d)",
 				v, got, want, c.tau))
 		}
+	}
+}
+
+// debugCheckWitness asserts that the witness t.wit of a computed "no"
+// refutes on its own: with every node of Γ^k(v) outside it deleted, v is
+// still not deletable. The disconnected and unspanned refutations must
+// name a non-empty witness, since an empty one keeps the verdict forever.
+func debugCheckWitness(c *Cache, v graph.NodeID, x Verdict, t *Tester) {
+	if x.Deletable() || x == refutedAnywhere || c.view.NumLive() > debugVerdictLimit {
+		return
+	}
+	if len(t.wit) == 0 && (t.kind == RefutedDisconnected || t.kind == RefutedUnspanned) {
+		panic(fmt.Sprintf("vpt debug: node %d: refutation %d without a witness", v, t.kind))
+	}
+	g := c.view.Materialize()
+	in := make(map[graph.NodeID]bool, len(t.wit))
+	for _, w := range t.wit {
+		in[w] = true
+	}
+	var del []graph.NodeID
+	for _, w := range g.KHopNeighbors(v, c.k) {
+		if !in[w] {
+			del = append(del, w)
+		}
+	}
+	if VertexDeletable(g.DeleteVertices(del), v, c.tau) {
+		panic(fmt.Sprintf("vpt debug: node %d: witness %v alone does not refute (tau=%d)", v, t.wit, c.tau))
 	}
 }
