@@ -40,16 +40,6 @@ func TestSentinelErrorsWrapped(t *testing.T) {
 	if _, err := dep.Rotate(2, 2, 1); !errors.Is(err, ErrTauTooSmall) {
 		t.Fatalf("Rotate(tau=2) err = %v, want errors.Is ErrTauTooSmall", err)
 	}
-	if _, err := dep.ScheduleDCCSharded(2, ShardOptions{}); !errors.Is(err, ErrTauTooSmall) {
-		t.Fatalf("ScheduleDCCSharded(2) err = %v, want errors.Is ErrTauTooSmall", err)
-	}
-	obs, err := Deploy(DeployOptions{Nodes: 100, Seed: 3, Obstacles: []Circle{{Center: Point{X: 1.8, Y: 1.8}, R: 0.5}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obs.ScheduleDCCSharded(4, ShardOptions{}); !errors.Is(err, ErrShardedUnsupported) {
-		t.Fatalf("obstacle ScheduleDCCSharded err = %v, want errors.Is ErrShardedUnsupported", err)
-	}
 	if _, err := PlanTau(Requirement{Gamma: 2.5}); !errors.Is(err, ErrNoFeasibleTau) {
 		t.Fatalf("PlanTau(gamma=2.5) err = %v, want errors.Is ErrNoFeasibleTau", err)
 	}

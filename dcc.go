@@ -37,7 +37,6 @@ import (
 	"dcc/internal/graph"
 	"dcc/internal/hgc"
 	"dcc/internal/runner"
-	"dcc/internal/shard"
 	"dcc/internal/telemetry"
 )
 
@@ -75,11 +74,6 @@ type (
 	// off). Collection never changes schedule output — the observability
 	// contract of DESIGN.md §14.
 	Telemetry = telemetry.Registry
-	// ShardStats counts the work a sharded schedule performed (regions,
-	// replicas, tests, halo deltas) alongside the ScheduleResult. Its
-	// Batches and Deferred fields always read 0: the coordinator runs the
-	// canonical loop one test at a time.
-	ShardStats = shard.Stats
 )
 
 // NewTelemetry returns an empty metrics registry to pass through the
@@ -107,16 +101,9 @@ var (
 	// within the bound makes the boundary partitionable.
 	ErrNotAchievable = core.ErrNotAchievable
 	// ErrTauTooSmall is wrapped by every scheduling entry point —
-	// ScheduleDCC, ScheduleDCCSharded, ScheduleDCCDistributed, ThinEdges,
-	// Rotate — and by VerifyConfine when handed a confine size below the
-	// minimum of 3.
+	// ScheduleDCC, ScheduleDCCDistributed, ThinEdges, Rotate — and by
+	// VerifyConfine when handed a confine size below the minimum of 3.
 	ErrTauTooSmall = core.ErrTauTooSmall
-	// ErrShardedUnsupported is wrapped by ScheduleDCCSharded for
-	// deployment shapes the spatial shard engine cannot partition
-	// soundly: multiply-connected targets (obstacle repair introduces
-	// position-less virtual apexes) and graphs with links longer than Rc
-	// (the halo invariant is geometric). Fall back to ScheduleDCC.
-	ErrShardedUnsupported = errors.New("dcc: deployment not supported by the sharded engine")
 	// ErrInvalidDeployOptions is wrapped by Deploy for options outside
 	// their domain: Nodes ≤ 0; an AvgDegree, Rc, Gamma or BandWidth that
 	// is negative or not finite; a QuasiInner or QuasiP that is not
@@ -137,7 +124,6 @@ var (
 //	field                 consumed by                    randomness it drives
 //	DeployOptions.Seed    Deploy                         node positions, QuasiUDG links
 //	ScheduleOptions.Seed  ScheduleDCC (both modes)       deletion order, MIS priorities
-//	ShardOptions.Seed     ScheduleDCCSharded             canonical deletion priorities
 //	DistConfig.Seed       ScheduleDCCDistributed         protocol priorities, loss, faults
 //	seed arguments        ScheduleHGC, ThinEdges, Rotate same role as ScheduleOptions.Seed
 //
@@ -464,29 +450,6 @@ type ScheduleOptions struct {
 	Telemetry *Telemetry
 }
 
-// ShardOptions configures the spatial shard engine behind
-// ScheduleDCCSharded. Seed, Workers and Telemetry mirror ScheduleOptions
-// field-for-field; Shards and HaloHops size the shard map. Every option
-// is result-neutral except Seed: the schedule is byte-identical for any
-// Workers, Shards and HaloHops choice — those trade memory and wall
-// clock only.
-type ShardOptions struct {
-	// Seed drives the canonical deletion priorities.
-	Seed int64
-	// Workers caps concurrency of every parallel section (0 = all CPUs,
-	// 1 = sequential; output is identical for any value).
-	Workers int
-	// Telemetry is the optional metrics registry (nil = collection off;
-	// never changes the schedule).
-	Telemetry *Telemetry
-	// Shards is the number of grid regions to partition the deployment
-	// into (0 = auto-size at roughly one region per 4096 nodes).
-	Shards int
-	// HaloHops is the replication depth of each region's halo in hops
-	// (0 = the minimum sound depth ⌈τ/2⌉; smaller values are rejected).
-	HaloHops int
-}
-
 // ScheduleDCC computes a sparse τ-confine coverage set with the paper's
 // algorithm. For multiply-connected deployments the inner boundaries are
 // cone-repaired first (§V-B).
@@ -506,60 +469,6 @@ func (d *Deployment) ScheduleDCC(tau int, opts ScheduleOptions) (ScheduleResult,
 		Workers:   opts.Workers,
 		Telemetry: opts.Telemetry,
 	})
-}
-
-// ScheduleDCCSharded computes the same τ-confine coverage set through
-// the spatial shard engine: the deployment is partitioned into grid
-// regions with ⌈τ/2⌉-hop halos, each region holds only its local
-// subgraph, and the canonical election loop runs over the regions: a
-// node is tested on its owner region, and a deletion is sent to every
-// region holding a copy (internal/shard; DESIGN.md §15). The schedule
-// equals the canonical-mode centralized engine byte-for-byte and is
-// invariant under Workers, Shards and HaloHops — sharding changes how
-// far the deployment can scale (millions of nodes on one box), never
-// what is elected. Workers parallelise the region build only; the
-// election is sequential. Note the engine's deletion order is the
-// canonical priority order, not ScheduleDCC's seed-shuffled order, so
-// results match across shard counts and runs, not ScheduleDCC's output.
-//
-// Multiply-connected deployments (obstacles) are rejected with
-// ErrShardedUnsupported: their repair introduces virtual apex nodes
-// without positions, which the geometric shard map cannot place. Use
-// ScheduleDCC for those.
-func (d *Deployment) ScheduleDCCSharded(tau int, opts ShardOptions) (ScheduleResult, error) {
-	if err := d.Network().Validate(); err != nil {
-		return ScheduleResult{}, err
-	}
-	if tau < 3 {
-		return ScheduleResult{}, fmt.Errorf("dcc: tau %d: %w", tau, ErrTauTooSmall)
-	}
-	if len(d.InnerCycles) > 0 {
-		return ScheduleResult{}, fmt.Errorf("%w: %d obstacle boundaries need cone repair", ErrShardedUnsupported, len(d.InnerCycles))
-	}
-	boundary := make([]bool, len(d.Points))
-	for _, v := range d.BoundaryNodes {
-		boundary[v] = true
-	}
-	res, _, err := shard.Schedule(shard.Input{
-		Points:   d.Points,
-		Rc:       d.Rc,
-		Boundary: boundary,
-		G:        d.G,
-	}, shard.Options{
-		Tau:       tau,
-		Seed:      opts.Seed,
-		Workers:   opts.Workers,
-		Shards:    opts.Shards,
-		HaloHops:  opts.HaloHops,
-		Telemetry: opts.Telemetry,
-	})
-	if err != nil {
-		if errors.Is(err, shard.ErrUnsupported) {
-			return ScheduleResult{}, fmt.Errorf("%w: %v", ErrShardedUnsupported, err)
-		}
-		return ScheduleResult{}, fmt.Errorf("dcc: sharded schedule: %w", err)
-	}
-	return res, nil
 }
 
 // ScheduleDCCDistributed runs the message-passing protocol.

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"container/heap"
+	"cmp"
+	"slices"
 
 	"dcc/internal/graph"
 	"dcc/internal/runner"
@@ -12,13 +13,15 @@ import (
 // work orders from a live rand.Rand, so two runs over the same topology
 // agree only if they replay the same deletion history — which a streaming
 // engine that crashes, recovers, and batches events cannot promise.
-// Canonical removes the history: the deletion order is a fixed
-// priority-queue order whose per-node priorities are a pure function of
-// (seed, node ID), making the kept set a pure function of the topology.
-// That is the property the streaming layer's convergence contract stands
-// on (DESIGN.md §13): any two paths to the same materialized topology —
-// event replay, WAL recovery, from-scratch batch — elect byte-identical
-// covers.
+// Canonical removes the history: the election's FIFO queue starts with the
+// internal nodes in increasing (priority, ID) order, where the per-node
+// priorities are a pure function of (seed, node ID), and a dirtied node
+// rejoins at the back in the increasing-ID order Commit returns. The
+// deletion order, and with it the kept set, is then a pure function of the
+// topology. That is the property the streaming layer's convergence
+// contract stands on (DESIGN.md §13): any two paths to the same
+// materialized topology — event replay, WAL recovery, from-scratch batch —
+// elect byte-identical covers.
 
 // streamCanonicalPriority is the DeriveSeed stream of the canonical
 // engine's per-node deletion priorities (the node ID rides in the run
@@ -28,103 +31,49 @@ import (
 const streamCanonicalPriority uint64 = 0x63616e6f
 
 // CanonicalPriority returns the deletion priority of v under base seed
-// seed: lower priorities are tested (and therefore deleted) first, ties
-// cannot occur across distinct nodes of one run because the pair (priority,
-// ID) is totally ordered. Exported so the streaming engine's memoized
-// re-election (internal/stream) provably replays the same order.
+// seed: the canonical election's first pass tests lower priorities first,
+// and ties cannot occur across distinct nodes of one run because the pair
+// (priority, ID) is totally ordered. Exported so the streaming engine's
+// memoized re-election (internal/stream) provably replays the same order.
 func CanonicalPriority(seed int64, v graph.NodeID) uint64 {
 	return uint64(runner.DeriveSeed(seed, streamCanonicalPriority, int(v)))
 }
 
-// prioItem is one pending deletability test of the canonical engine.
-type prioItem struct {
-	prio uint64
-	v    graph.NodeID
-}
-
-// prioQueue is a min-heap on (priority, ID).
-type prioQueue []prioItem
-
-func (q prioQueue) Len() int { return len(q) }
-func (q prioQueue) Less(i, j int) bool {
-	if q[i].prio != q[j].prio {
-		return q[i].prio < q[j].prio
+// newCanonicalQueue returns the canonical election's queue: the candidates
+// in increasing (CanonicalPriority, ID) order. The caller's slice is not
+// retained.
+func newCanonicalQueue(seed int64, candidates []graph.NodeID) *fifoQueue {
+	type ranked struct {
+		prio uint64
+		v    graph.NodeID
 	}
-	return q[i].v < q[j].v
-}
-func (q prioQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *prioQueue) Push(x any)   { *q = append(*q, x.(prioItem)) }
-func (q *prioQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
-// electionQueue is the canonical election's workQueue: a min-heap over
-// (CanonicalPriority, ID) with pending-set deduplication. Popping a node
-// marks it not-pending; pushing a node that is already pending, or that
-// the queue was not seeded with, is a no-op, so a candidate is tested at
-// most once per dirtying no matter how many commits touched its
-// neighbourhood. The priority is a pure function of (seed, ID), so a
-// re-pushed node re-enters at exactly its canonical position.
-type electionQueue struct {
-	seed    int64
-	q       prioQueue
-	pending map[graph.NodeID]bool // key present ⇔ candidate
-}
-
-// newElectionQueue returns a queue seeded with the given candidates, all
-// pending.
-func newElectionQueue(seed int64, nodes []graph.NodeID) *electionQueue {
-	eq := &electionQueue{
-		seed:    seed,
-		q:       make(prioQueue, 0, len(nodes)),
-		pending: make(map[graph.NodeID]bool, len(nodes)),
+	rs := make([]ranked, len(candidates))
+	for i, v := range candidates {
+		rs[i] = ranked{CanonicalPriority(seed, v), v}
 	}
-	for _, v := range nodes {
-		eq.q = append(eq.q, prioItem{prio: CanonicalPriority(seed, v), v: v})
-		eq.pending[v] = true
-	}
-	heap.Init(&eq.q)
-	return eq
-}
-
-// Pop returns the pending node with the smallest (priority, ID), marking
-// it not-pending, with ok = false when the queue is exhausted. Stale
-// entries (popped nodes re-tested since their last dirtying) are skipped.
-func (eq *electionQueue) Pop() (v graph.NodeID, ok bool) {
-	for eq.q.Len() > 0 {
-		it := heap.Pop(&eq.q).(prioItem)
-		if !eq.pending[it.v] {
-			continue // stale entry: already tested since it was last dirtied
+	slices.SortFunc(rs, func(a, b ranked) int {
+		if c := cmp.Compare(a.prio, b.prio); c != 0 {
+			return c
 		}
-		eq.pending[it.v] = false
-		return it.v, true
+		return cmp.Compare(a.v, b.v)
+	})
+	order := make([]graph.NodeID, len(rs))
+	for i, r := range rs {
+		order[i] = r.v
 	}
-	return 0, false
-}
-
-// Push marks the candidate v pending and enqueues it at its canonical
-// priority; a no-op if v is already pending or not a candidate.
-func (eq *electionQueue) Push(v graph.NodeID) {
-	if pending, ok := eq.pending[v]; !ok || pending {
-		return
-	}
-	eq.pending[v] = true
-	heap.Push(&eq.q, prioItem{prio: CanonicalPriority(eq.seed, v), v: v})
+	return newFIFOQueue(order)
 }
 
 // CanonicalElect runs the greedy election (see elect) to fixpoint over
-// cache in canonical order: internal nodes are tested in increasing
+// cache in canonical order: internal nodes are first tested in increasing
 // (CanonicalPriority, ID) order, a deletable node is committed
-// immediately, and the dirtied survivors re-enter the queue. test supplies
-// the deletability verdict of a node on the current residual —
-// cache.Deletable for the batch engine, the fingerprint-memoized variant
-// for the streaming engine — and MUST equal VertexDeletable on the
-// materialized live graph, or the fixpoint diverges from the canonical
-// one. Returns the deleted nodes in deletion order and the number of tests.
+// immediately, and the dirtied survivors rejoin the back of the queue in
+// increasing ID order. test supplies the deletability verdict of a node on
+// the current residual — cache.Deletable for the batch engine, the
+// fingerprint-memoized variant for the streaming engine — and MUST equal
+// VertexDeletable on the materialized live graph, or the fixpoint diverges
+// from the canonical one. Returns the deleted nodes in deletion order and
+// the number of tests.
 //
 // The loop is shared by every engine on purpose: the convergence contract
 // ("streaming state equals the batch schedule of the materialized
@@ -136,16 +85,15 @@ func CanonicalElect(net Network, seed int64, cache *vpt.Cache, test func(v graph
 
 // CanonicalElectOver is CanonicalElect over any residual: the candidates
 // (the internal nodes; dirtied nodes outside them are never tested) are
-// tested in increasing (CanonicalPriority, ID) order with test, and
-// deletions are committed to res. The shard engine runs it over its
-// regions (internal/shard), so the sharded and unsharded schedules are the
-// same loop by construction.
+// tested in canonical order with test, and deletions are committed to res.
+// The shard engine runs it over its regions (internal/shard), so the
+// sharded and unsharded schedules are the same loop by construction.
 func CanonicalElectOver(res Residual, seed int64, candidates []graph.NodeID, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
-	return elect(res, newElectionQueue(seed, candidates), test)
+	return elect(res, newCanonicalQueue(seed, candidates), test)
 }
 
 func scheduleCanonical(net Network, opts Options) (Result, error) {
 	cache := vpt.NewCache(net.G, opts.Tau)
 	cache.Instrument(opts.Telemetry)
-	return electResult(net, cache, newElectionQueue(opts.Seed, net.InternalNodes())), nil
+	return electResult(net, cache, newCanonicalQueue(opts.Seed, net.InternalNodes())), nil
 }

@@ -123,69 +123,53 @@ func TestCanonicalPriorityTotalOrder(t *testing.T) {
 	}
 }
 
-// TestElectionQueueContract: the canonical queue's dedup/stale-skip
-// semantics, which keep the test count canonical — Pop skips stale
-// entries, Push while pending is a no-op so a node is tested at most once
-// per dirtying, and Push of a node the queue was not seeded with (a
-// boundary node) is a no-op.
+// TestElectionQueueContract: the canonical queue's FIFO contract, which
+// keeps the deletion order and the test count canonical — the first pops
+// come in (priority, ID) order, a re-pushed node rejoins at the back, and
+// a Push while the node is pending, or of a node the queue was not seeded
+// with (a boundary node), is a no-op, so a node is tested at most once per
+// dirtying.
 func TestElectionQueueContract(t *testing.T) {
-	nodes := []graph.NodeID{0, 1, 2, 3, 4}
-	eq := newElectionQueue(3, nodes)
-	v, ok := eq.Pop()
+	nodes := []graph.NodeID{4, 0, 3, 1, 2}
+	q := newCanonicalQueue(3, nodes)
+	first, ok := q.Pop()
 	if !ok {
 		t.Fatal("Pop on a seeded queue returned ok = false")
 	}
-
-	// Re-pushing the popped node re-enqueues at its canonical priority;
-	// pushing it again while pending must be a no-op (no duplicate test).
-	// A non-candidate is never enqueued.
-	eq.Push(v)
-	eq.Push(v)
-	eq.Push(99)
-	order := []graph.NodeID{v}
-	seen := map[graph.NodeID]int{v: 1}
+	// The popped head rejoins at the back. Pushing it again while it is
+	// pending, pushing the nodes still pending from the seed, and pushing
+	// a non-candidate are no-ops.
+	q.Push(first)
+	for _, v := range nodes {
+		q.Push(v)
+	}
+	q.Push(99)
+	second, _ := q.Pop()
+	q.Push(second)
+	order := []graph.NodeID{first, second}
 	for {
-		w, ok := eq.Pop()
+		w, ok := q.Pop()
 		if !ok {
 			break
 		}
 		order = append(order, w)
-		seen[w]++
 	}
-	if len(order) != len(nodes)+1 {
-		t.Fatalf("popped %d nodes, want %d (the re-pushed head plus the rest)", len(order), len(nodes)+1)
+	if len(order) != len(nodes)+2 {
+		t.Fatalf("popped %v, want the %d seeded nodes and the two re-pushed ones", order, len(nodes))
 	}
-	if seen[v] != 2 {
-		t.Fatalf("re-pushed node %d popped %d times, want exactly 2", v, seen[v])
-	}
-	if seen[99] != 0 {
-		t.Fatal("a node outside the candidate set was popped")
-	}
-	if order[0] != v {
-		t.Fatalf("re-pushed head popped as %d, want %d first (priority is a pure function of seed and ID)", order[0], v)
-	}
-	// order[0] and order[1] are both v (the re-pushed head), so strict
-	// (priority, ID) ascent starts at the second pop.
-	for i := 2; i < len(order); i++ {
+	for i := 1; i < len(nodes); i++ {
 		pi, pj := CanonicalPriority(3, order[i-1]), CanonicalPriority(3, order[i])
 		if pi > pj || (pi == pj && order[i-1] >= order[i]) {
-			t.Fatalf("pop order violates (priority, ID) at %d: %v", i, order)
+			t.Fatalf("seeded pops violate (priority, ID) at %d: %v", i, order)
 		}
 	}
-	if _, ok := eq.Pop(); ok {
+	if tail := order[len(nodes):]; tail[0] != first || tail[1] != second {
+		t.Fatalf("re-pushed nodes popped as %v, want [%d %d] at the back in push order", tail, first, second)
+	}
+	if !reflect.DeepEqual(nodes, []graph.NodeID{4, 0, 3, 1, 2}) {
+		t.Fatalf("newCanonicalQueue reordered its argument: %v", nodes)
+	}
+	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop on an exhausted queue returned ok")
-	}
-
-	// A stale heap entry is skipped: re-push the head, pop it, and the
-	// next pop must be the other node, not the head again.
-	eq2 := newElectionQueue(3, []graph.NodeID{1, 2})
-	first, _ := eq2.Pop()
-	eq2.Push(first)
-	second, _ := eq2.Pop()
-	if second != first {
-		t.Fatalf("re-pushed head popped as %d, want %d", second, first)
-	}
-	if w, ok := eq2.Pop(); !ok || w == first {
-		t.Fatalf("Pop = (%d, %v), want the remaining pending node", w, ok)
 	}
 }

@@ -158,10 +158,11 @@ const (
 	// Parallel deletes an m-hop maximal independent set of candidates per
 	// round — the structure of the paper's distributed algorithm.
 	Parallel
-	// Canonical deletes in a fixed priority-queue order derived from
-	// (Seed, node ID) alone, making the kept set a pure function of the
-	// topology — the replay-independent mode the streaming engine's
-	// convergence contract is stated against (see canonical.go).
+	// Canonical tests the nodes first in an order derived from (Seed,
+	// node ID) alone, dirtied nodes rejoining at the back in ID order,
+	// making the kept set a pure function of the topology — the
+	// replay-independent mode the streaming engine's convergence contract
+	// is stated against (see canonical.go).
 	Canonical
 )
 
@@ -276,20 +277,16 @@ func scheduleSequential(net Network, opts Options) (Result, error) {
 	return electResult(net, cache, newFIFOQueue(order)), nil
 }
 
-// workQueue is the node order of the greedy election over a fixed set of
-// candidates, the nodes it was seeded with: Pop returns the next pending
-// candidate (ok = false once none is left) and marks it not-pending; Push
-// re-enqueues a candidate and is a no-op while that candidate is still
-// pending, so a node is tested at most once per dirtying. Pushing a node
-// outside the candidate set (a boundary node) is a no-op too.
-type workQueue interface {
-	Pop() (v graph.NodeID, ok bool)
-	Push(v graph.NodeID)
-}
-
-// fifoQueue is the first-in-first-out workQueue of the Sequential engine
-// and of Rotate: nodes are tested in their initial order, and dirtied
-// nodes rejoin at the back.
+// fifoQueue is the node order of the greedy election over a fixed set of
+// candidates, the nodes it was seeded with, and the one queue every
+// one-node-at-a-time engine runs: nodes are tested in their initial order
+// (a seeded shuffle for Sequential, duty then shuffle for Rotate,
+// (CanonicalPriority, ID) for Canonical), and dirtied nodes rejoin at the
+// back. Pop returns the next pending candidate (ok = false once none is
+// left) and marks it not-pending; Push re-enqueues a candidate and is a
+// no-op while that candidate is still pending, so a node is tested at most
+// once per dirtying. Pushing a node outside the candidate set (a boundary
+// node) is a no-op too.
 type fifoQueue struct {
 	q       []graph.NodeID
 	pending map[graph.NodeID]bool // key present ⇔ candidate
@@ -338,11 +335,11 @@ type Residual interface {
 // re-push the dirtied survivors (q ignores the boundary nodes among them).
 // Commit invalidates exactly the ≤ k-hop ball around the deleted node —
 // the nodes whose Γ^k contained it — so only those can change verdict.
-// The engines differ only in q's order and in the residual; test supplies
-// the verdict of a node on the current residual and must equal
+// The engines differ only in q's initial order and in the residual; test
+// supplies the verdict of a node on the current residual and must equal
 // VertexDeletable on the live graph. Returns the deleted nodes in deletion
 // order and the number of tests.
-func elect(res Residual, q workQueue, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
+func elect(res Residual, q *fifoQueue, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
 	one := make([]graph.NodeID, 1)
 	for {
 		v, ok := q.Pop()
@@ -366,7 +363,7 @@ func elect(res Residual, q workQueue, test func(v graph.NodeID) bool) (deleted [
 
 // electResult runs elect over q with the cache's own verdicts and
 // assembles the Result.
-func electResult(net Network, cache *vpt.Cache, q workQueue) Result {
+func electResult(net Network, cache *vpt.Cache, q *fifoQueue) Result {
 	deleted, tests := elect(cache, q, cache.Deletable)
 	return finishResult(net, cache.LiveGraph(), deleted, Stats{Rounds: 1, Tests: tests})
 }
@@ -390,44 +387,53 @@ var kitPool = sync.Pool{New: func() any {
 	return &testKit{s: graph.NewScratch(nil), t: vpt.NewTester()}
 }}
 
-// cachedVerdicts evaluates the deletability of toTest (all cache-stale)
-// and publishes the verdicts into the cache. Small batches run inline on
-// the cache's own scratch; larger ones fan out in fixed-size chunks on the
-// deterministic pool, each chunk with pooled per-worker scratch, and the
-// memo writes happen after the join (workers never touch shared state).
+// cachedVerdicts evaluates the deletability of toTest. A node the cache
+// still holds a verdict for (a "no" whose witness the last Commit missed)
+// is answered from it; the misses are tested inline on the cache's own
+// scratch when they are few, and otherwise fan out in fixed-size chunks on
+// the deterministic pool, each chunk with pooled per-worker scratch. The
+// fanned-out verdicts, witnesses included, are published after the join
+// (workers never touch shared state).
 func cachedVerdicts(cache *vpt.Cache, toTest []graph.NodeID, workers int) []bool {
 	out := make([]bool, len(toTest))
-	if len(toTest) <= testChunk {
-		for i, v := range toTest {
-			out[i] = cache.Deletable(v)
+	var miss []int // indices into toTest
+	for i, v := range toTest {
+		if x, ok := cache.Cached(v); ok {
+			out[i] = x.Deletable()
+		} else {
+			miss = append(miss, i)
+		}
+	}
+	if len(miss) <= testChunk {
+		for _, i := range miss {
+			out[i] = cache.Deletable(toTest[i])
 		}
 		return out
 	}
-	nchunks := (len(toTest) + testChunk - 1) / testChunk
+	nchunks := (len(miss) + testChunk - 1) / testChunk
 	// Deletability of distinct vertices is independent given a fixed live
 	// view, so the chunks fan out on the deterministic pool; the result
 	// slice is index-ordered regardless of the worker count.
-	chunks, _ := runner.Map(nchunks, workers, func(ci int) ([]bool, error) {
+	chunks, _ := runner.Map(nchunks, workers, func(ci int) ([]vpt.Verdict, error) {
 		kit := kitPool.Get().(*testKit)
 		defer kitPool.Put(kit)
 		lo := ci * testChunk
-		hi := lo + testChunk
-		if hi > len(toTest) {
-			hi = len(toTest)
-		}
-		vals := make([]bool, hi-lo)
-		for i := lo; i < hi; i++ {
-			//lint:ignore barrier ComputeFresh is read-only by the Cache contract (no memo access, caller-owned scratch); verdicts are published via Store after the join
-			vals[i-lo] = cache.ComputeFresh(toTest[i], kit.s, kit.t)
+		hi := min(lo+testChunk, len(miss))
+		vals := make([]vpt.Verdict, hi-lo)
+		for j := lo; j < hi; j++ {
+			//lint:ignore barrier ComputeFresh is read-only by the Cache contract (no memo access, caller-owned scratch); verdicts are published via StoreVerdict after the join
+			vals[j-lo] = cache.ComputeFresh(toTest[miss[j]], kit.s, kit.t)
 		}
 		return vals, nil
 	})
-	i := 0
+	j := 0
 	for _, ch := range chunks {
-		i += copy(out[i:], ch)
-	}
-	for i, v := range toTest {
-		cache.Store(v, out[i])
+		for _, x := range ch {
+			i := miss[j]
+			cache.StoreVerdict(toTest[i], x)
+			out[i] = x.Deletable()
+			j++
+		}
 	}
 	return out
 }

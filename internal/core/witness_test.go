@@ -65,10 +65,10 @@ func TestWitnessKeptVerdictsMatchFresh(t *testing.T) {
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			for _, run := range []struct {
 				engine string
-				q      workQueue
+				q      *fifoQueue
 			}{
 				{"sequential", newFIFOQueue(order)},
-				{"canonical", newElectionQueue(rng.Int63(), nodes)},
+				{"canonical", newCanonicalQueue(rng.Int63(), nodes)},
 			} {
 				cache := vpt.NewCache(g, tau)
 				res := &witnessResidual{t: t, cache: cache}

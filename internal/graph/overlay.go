@@ -41,6 +41,10 @@ func (d *DeleteView) Alive(v NodeID) bool {
 	return ok && !d.gone[i]
 }
 
+// AliveAt reports whether the vertex with base dense index i (see
+// Graph.IndexOf) is live: Alive for a caller that already holds the index.
+func (d *DeleteView) AliveAt(i int) bool { return !d.gone[i] }
+
 // Delete marks v dead and reports whether it was live. Absent or
 // already-dead vertices are a no-op.
 func (d *DeleteView) Delete(v NodeID) bool {

@@ -47,9 +47,6 @@ func Verify(g *graph.Graph, innerBoundaries [][]graph.NodeID) bool {
 type Options struct {
 	// Seed drives the deletion order.
 	Seed int64
-	// Mode selects the engine of the τ=3 pattern scheduler (Sequential by
-	// default); ignored by ScheduleExact.
-	Mode core.Mode
 }
 
 // Result is the outcome of an HGC scheduling run.
@@ -68,7 +65,7 @@ type Result struct {
 // the first) are coned for the verification, mirroring Ghrist et al.'s
 // boundary repair.
 func Schedule(net core.Network, opts Options) (Result, error) {
-	res, err := core.Schedule(net, core.Options{Tau: 3, Seed: opts.Seed, Mode: opts.Mode})
+	res, err := core.Schedule(net, core.Options{Tau: 3, Seed: opts.Seed})
 	if err != nil {
 		return Result{}, fmt.Errorf("hgc: %w", err)
 	}

@@ -41,7 +41,7 @@ import (
 
 // ErrUnsupported marks inputs outside the engine's geometric contract —
 // today, a link longer than Rc, which would let a k-hop ball escape the
-// halo. The public layer maps it onto dcc.ErrShardedUnsupported.
+// halo. Such inputs need an in-memory engine (core.Schedule).
 var ErrUnsupported = errors.New("shard: input outside the engine's geometric contract")
 
 // Options configures a sharded schedule. The Seed/Workers/Telemetry

@@ -36,7 +36,7 @@ func debugCheckServed(checks *int, what, cause string, cache *vpt.Cache, v graph
 		return
 	}
 	*checks++
-	if fresh := cache.ComputeFresh(v, s, t); fresh != served {
+	if fresh := cache.ComputeFresh(v, s, t).Deletable(); fresh != served {
 		panic(fmt.Sprintf("stream: %s verdict for node %d is %v, fresh computation says %v (%s)",
 			what, v, served, fresh, cause))
 	}

@@ -55,7 +55,7 @@ func (t *Tester) NeighborhoodDeletable(neighborhood *graph.Graph, directNeighbor
 //
 // A Cache is not safe for concurrent mutation. Concurrent workers may call
 // ComputeFresh (read-only, caller-owned scratch) between mutations and
-// publish results through Store afterwards.
+// publish results through StoreVerdict afterwards.
 type Cache struct {
 	g       *graph.Graph
 	tau, k  int
@@ -104,8 +104,9 @@ func (c *Cache) Instrument(reg *telemetry.Registry) {
 type CacheStats struct {
 	// Lookups counts Deletable calls on live nodes.
 	Lookups int
-	// Computes counts actual verdict evaluations (cache misses plus
-	// ComputeFresh calls published via Store are not included).
+	// Computes counts the verdicts Deletable evaluated on a cache miss;
+	// ComputeFresh evaluations, published through StoreVerdict, are not
+	// included.
 	Computes int
 	// Invalidated counts verdict entries reset by Commit/Remove/Restore.
 	Invalidated int
@@ -168,8 +169,8 @@ func (c *Cache) Stats() CacheStats { return c.stats }
 //
 //lint:hotpath
 func (c *Cache) Deletable(v graph.NodeID) bool {
-	i, ok := c.g.IndexOf(v)
-	if !ok || !c.view.Alive(v) {
+	i, ok := c.liveIndex(v)
+	if !ok {
 		return false
 	}
 	c.stats.Lookups++
@@ -190,51 +191,48 @@ func (c *Cache) Deletable(v graph.NodeID) bool {
 // Cached returns the clean cached verdict of the live vertex v, with ok
 // false when there is none: v is dead, absent, never judged or dirtied
 // since. A cached verdict equals fresh recomputation, so a caller holding
-// one may skip the test — the streaming engine answers re-tests of
-// refuted nodes this way, before it computes a fingerprint.
+// one may skip the test — the streaming engine and the parallel scheduler
+// answer re-tests of refuted nodes this way.
 func (c *Cache) Cached(v graph.NodeID) (x Verdict, ok bool) {
-	i, ok := c.g.IndexOf(v)
-	if !ok || !c.view.Alive(v) || c.verdict[i] == verdictUnknown {
+	i, ok := c.liveIndex(v)
+	if !ok || c.verdict[i] == verdictUnknown {
 		return 0, false
 	}
 	return c.verdict[i], true
 }
 
-// ComputeFresh evaluates the verdict for v with caller-owned scratch,
-// without reading or writing the memo — the form concurrent workers use to
-// batch cache-miss work (publish with Store once the batch joins). s and t
-// must not be shared between concurrent callers.
+// ComputeFresh evaluates the verdict for v, witness included, with
+// caller-owned scratch and without reading or writing the memo — the form
+// concurrent workers use to batch cache-miss work (publish with
+// StoreVerdict once the batch joins). A dead or absent v is refuted
+// without a witness. s and t must not be shared between concurrent
+// callers.
 //
 //lint:hotpath
-func (c *Cache) ComputeFresh(v graph.NodeID, s *graph.Scratch, t *Tester) bool {
+func (c *Cache) ComputeFresh(v graph.NodeID, s *graph.Scratch, t *Tester) Verdict {
 	if !c.view.Alive(v) {
-		return false
+		return refutedAnywhere
 	}
-	return c.compute(v, s, t).Deletable()
+	return c.compute(v, s, t)
 }
 
-// Store publishes an externally computed verdict (from ComputeFresh) into
-// the memo. A "no" stored this way carries no witness, so any removal in
-// its ball invalidates it. The caller must ensure no Commit/Remove
-// happened between the computation and the store.
-func (c *Cache) Store(v graph.NodeID, deletable bool) {
-	if deletable {
-		c.StoreVerdict(v, VerdictDeletable)
-	} else {
-		c.StoreVerdict(v, refutedAnywhere)
-	}
-}
-
-// StoreVerdict publishes a verdict with its witness signature, as Cached
-// returned it from a Cache over the same labelled Γ^k(v) — the streaming
-// engine's memo hits. The caller must ensure it equals fresh computation
-// on the current live view.
+// StoreVerdict publishes a verdict with its witness signature: one
+// ComputeFresh returned on the current live view, or one Cached returned
+// from a Cache over the same labelled Γ^k(v) — the streaming engine's memo
+// hits. The caller must ensure it equals fresh computation on the current
+// live view: no Commit/Remove/Restore since it was computed, or none that
+// touched Γ^k(v).
 func (c *Cache) StoreVerdict(v graph.NodeID, x Verdict) {
-	i, ok := c.g.IndexOf(v)
-	if !ok || !c.view.Alive(v) {
-		return
+	if i, ok := c.liveIndex(v); ok {
+		c.verdict[i] = x
 	}
-	c.verdict[i] = x
+}
+
+// liveIndex returns v's base dense index, with ok false when v is absent
+// or dead: one index lookup for the per-call guards above.
+func (c *Cache) liveIndex(v graph.NodeID) (int, bool) {
+	i, ok := c.g.IndexOf(v)
+	return i, ok && c.view.AliveAt(i)
 }
 
 // compute judges the live vertex v on caller-owned scratch, with the

@@ -3,6 +3,7 @@ package vpt
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dcc/internal/geom"
@@ -210,7 +211,9 @@ func TestCacheDeadAndAbsent(t *testing.T) {
 
 // TestCacheComputeFreshAndStore models the parallel scheduler's protocol:
 // workers compute verdicts with caller-owned scratch, the main goroutine
-// publishes them with Store, and subsequent Deletable calls hit the memo.
+// publishes them with StoreVerdict, and subsequent Deletable calls hit the
+// memo. A published "no" carries its witness, so a Commit that misses the
+// witness keeps it cached.
 func TestCacheComputeFreshAndStore(t *testing.T) {
 	g := graph.TriangulatedGrid(5, 5)
 	c := NewCache(g, 4)
@@ -218,18 +221,45 @@ func TestCacheComputeFreshAndStore(t *testing.T) {
 	fresh := c.LiveGraph()
 	for _, v := range c.LiveNodes() {
 		got := c.ComputeFresh(v, s, tester)
-		if want := VertexDeletable(fresh, v, 4); got != want {
-			t.Fatalf("ComputeFresh(%d) = %v, want %v", v, got, want)
+		if want := VertexDeletable(fresh, v, 4); got.Deletable() != want {
+			t.Fatalf("ComputeFresh(%d) = %v, want %v", v, got.Deletable(), want)
 		}
-		c.Store(v, got)
+		c.StoreVerdict(v, got)
 	}
 	before := c.Stats().Computes
 	for _, v := range c.LiveNodes() {
 		c.Deletable(v)
 	}
 	if c.Stats().Computes != before {
-		t.Fatalf("Deletable recomputed %d verdicts after Store warmed them", c.Stats().Computes-before)
+		t.Fatalf("Deletable recomputed %d verdicts after StoreVerdict warmed them", c.Stats().Computes-before)
 	}
+
+	// A hub 0 inside the ring 1…6, with a pendant 7 on ring node 1: at
+	// τ = 3 the ring refutes 0, and 7 lies in Γ²(0) off that witness.
+	edges := []graph.Edge{{U: 1, V: 7}, {U: 1, V: 6}}
+	for i := graph.NodeID(1); i <= 6; i++ {
+		edges = append(edges, graph.Edge{U: 0, V: i})
+		if i < 6 {
+			edges = append(edges, graph.Edge{U: i, V: i + 1})
+		}
+	}
+	hub, err := graph.FromEdges(edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewCache(hub, 3)
+	x := h.ComputeFresh(0, graph.NewScratch(hub), NewTester())
+	if x.Deletable() {
+		t.Fatal("the hub of an untriangulated ring is deletable at tau 3")
+	}
+	h.StoreVerdict(0, x)
+	if dirty := h.Commit([]graph.NodeID{7}); !slices.Contains(dirty, 0) {
+		t.Fatalf("deleting 7 did not dirty the hub: %v", dirty)
+	}
+	if _, ok := h.Cached(0); !ok {
+		t.Fatal("a Commit off the witness dropped the published \"no\"")
+	}
+	checkAgainstFresh(t, h, "published no after a Commit off its witness")
 }
 
 // TestCacheRestore pins the node-rejoin path of the streaming engine:
@@ -389,7 +419,7 @@ func TestVerdictAllocs(t *testing.T) {
 		fresh := func() {
 			deletable = 0
 			for _, v := range nodes {
-				if c.ComputeFresh(v, s, tr) {
+				if c.ComputeFresh(v, s, tr).Deletable() {
 					deletable++
 				}
 			}

@@ -108,14 +108,16 @@ echo '== telemetry byte-identity'
 # change a single output byte. Wall-clock timing lines are suppressed so
 # the two runs compare exactly; the NDJSON dump is sanity-checked for the
 # schema header and a live deterministic series.
-go build -o /tmp/dccsim.check ./cmd/dccsim
+teldir=$(mktemp -d)
+trap 'rm -rf "$teldir"' EXIT
+go build -o "$teldir/dccsim" ./cmd/dccsim
 TELFIGS='-fig 1,6,scenarios -nodes 60 -runs 1 -timings=false'
-/tmp/dccsim.check $TELFIGS -telemetry=false > /tmp/dccsim.tel_off.txt
-/tmp/dccsim.check $TELFIGS -metrics /tmp/dccsim.metrics.ndjson \
-    | grep -v '^\[metrics\]' > /tmp/dccsim.tel_on.txt
-cmp /tmp/dccsim.tel_off.txt /tmp/dccsim.tel_on.txt
-grep -q '"schema":"dcc-metrics-v1"' /tmp/dccsim.metrics.ndjson
-grep -q '"class":"deterministic","type":"counter","name":"core.runs"' /tmp/dccsim.metrics.ndjson
+"$teldir/dccsim" $TELFIGS -telemetry=false > "$teldir/tel_off.txt"
+"$teldir/dccsim" $TELFIGS -metrics "$teldir/metrics.ndjson" \
+    | grep -v '^\[metrics\]' > "$teldir/tel_on.txt"
+cmp "$teldir/tel_off.txt" "$teldir/tel_on.txt"
+grep -q '"schema":"dcc-metrics-v1"' "$teldir/metrics.ndjson"
+grep -q '"class":"deterministic","type":"counter","name":"core.runs"' "$teldir/metrics.ndjson"
 
 echo "== fuzz smoke (${FUZZTIME} per target)"
 go test -run=NONE -fuzz='^FuzzVectorXOR$' -fuzztime="$FUZZTIME" ./internal/bitvec
@@ -125,5 +127,6 @@ go test -run=NONE -fuzz='^FuzzFrameRoundTrip$' -fuzztime="$FUZZTIME" ./internal/
 go test -run=NONE -fuzz='^FuzzCacheConsistency$' -fuzztime="$FUZZTIME" ./internal/vpt
 go test -run=NONE -fuzz='^FuzzScenarioDeterminism$' -fuzztime="$FUZZTIME" ./internal/scenario
 go test -run=NONE -fuzz='^FuzzWALReplay$' -fuzztime="$FUZZTIME" ./internal/stream
+go test -run=NONE -fuzz='^FuzzPublicSchedule$' -fuzztime="$FUZZTIME" .
 
 echo 'check.sh: all gates passed'

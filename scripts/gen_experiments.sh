@@ -1,11 +1,15 @@
 #!/bin/sh
-# Regenerates the data recorded in EXPERIMENTS.md.
+# Regenerates the data recorded in EXPERIMENTS.md:
 #
-# Scale note: the paper uses 1600 nodes and 100 runs per point; on a
-# single-core machine this script defaults to 800 nodes and 3 runs, which
-# reproduces every reported shape in ~30-60 minutes. Override via NODES,
-# RUNS, MAXTAU, or set FIGARGS=-full for paper-scale presets.
+#   scripts/gen_experiments.sh > experiments_output.txt
+#
+# The defaults (300 nodes, 2 runs per point, τ up to 8, seed 1) are the
+# preset experiments_output.txt was made with; every line except the
+# "(figure N: …)" timings is deterministic. The run takes about a minute
+# on a 2-vCPU box. The paper uses 1600 nodes and 100 runs per point:
+# override via NODES, RUNS, MAXTAU, or set FIGARGS=-full for paper-scale
+# presets.
 set -e
 cd "$(dirname "$0")/.."
 go build ./...
-go run ./cmd/dccsim -fig all -nodes "${NODES:-800}" -runs "${RUNS:-3}" -maxtau "${MAXTAU:-9}" -seed 1 ${FIGARGS:-}
+go run ./cmd/dccsim -fig all -nodes "${NODES:-300}" -runs "${RUNS:-2}" -maxtau "${MAXTAU:-8}" -seed 1 ${FIGARGS:-}

@@ -5,13 +5,28 @@ import (
 	"testing"
 
 	"dcc/internal/core"
+	"dcc/internal/shard"
 )
 
-// TestShardCountEquivalence: the public sharded scheduler must return a
-// byte-identical ScheduleResult for every shard count × worker count
-// combination, and that result must equal the unsharded canonical-mode
-// engine on the same repaired network — the equivalence contract of
-// DESIGN.md §15, asserted at the API boundary.
+// shardSchedule runs the spatial shard engine on a deployment without
+// obstacles: positions, Rc, the boundary flags and the explicit graph,
+// whose links the engine checks against Rc (quasi-UDG links cannot be
+// re-derived from positions).
+func shardSchedule(dep *Deployment, tau int, opts shard.Options) (ScheduleResult, error) {
+	boundary := make([]bool, len(dep.Points))
+	for _, v := range dep.BoundaryNodes {
+		boundary[v] = true
+	}
+	opts.Tau = tau
+	res, _, err := shard.Schedule(shard.Input{Points: dep.Points, Rc: dep.Rc, Boundary: boundary, G: dep.G}, opts)
+	return res, err
+}
+
+// TestShardCountEquivalence: the shard engine must return a byte-identical
+// ScheduleResult for every shard count × worker count combination on a
+// public deployment, and that result must equal the unsharded
+// canonical-mode engine on the same repaired network — the equivalence
+// contract of DESIGN.md §15, asserted on Deploy's output.
 func TestShardCountEquivalence(t *testing.T) {
 	const tau = 4
 	seeds := []int64{1, 5}
@@ -39,7 +54,7 @@ func TestShardCountEquivalence(t *testing.T) {
 		}
 		for _, shards := range []int{1, 2, 4, 9} {
 			for _, workers := range []int{1, 4} {
-				got, err := dep.ScheduleDCCSharded(tau, ShardOptions{Seed: seed, Workers: workers, Shards: shards})
+				got, err := shardSchedule(dep, tau, shard.Options{Seed: seed, Workers: workers, Shards: shards})
 				if err != nil {
 					t.Fatalf("seed=%d shards=%d workers=%d: %v", seed, shards, workers, err)
 				}
@@ -68,7 +83,7 @@ func TestShardedQuasiUDG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dep.ScheduleDCCSharded(4, ShardOptions{Seed: 9, Shards: 4})
+	got, err := shardSchedule(dep, 4, shard.Options{Seed: 9, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +100,13 @@ func TestShardedTelemetryNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := dep.ScheduleDCCSharded(4, ShardOptions{Seed: 4, Shards: 4})
+	bare, err := shardSchedule(dep, 4, shard.Options{Seed: 4, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	counters := func(workers int) (ScheduleResult, *Telemetry) {
 		reg := NewTelemetry()
-		res, err := dep.ScheduleDCCSharded(4, ShardOptions{Seed: 4, Shards: 4, Workers: workers, Telemetry: reg})
+		res, err := shardSchedule(dep, 4, shard.Options{Seed: 4, Shards: 4, Workers: workers, Telemetry: reg})
 		if err != nil {
 			t.Fatal(err)
 		}

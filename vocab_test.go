@@ -49,7 +49,6 @@ func TestConfigVocabulary(t *testing.T) {
 		{"experiments.Config", experiments.Config{}, []want{seed, workers, telem}},
 		{"shard.Options", shard.Options{}, []want{seed, workers, telem}},
 		{"dcc.ScheduleOptions", dcc.ScheduleOptions{}, []want{seed, workers, telem}},
-		{"dcc.ShardOptions", dcc.ShardOptions{}, []want{seed, workers, telem}},
 	}
 	// Field names that spell one of the shared concepts differently.
 	// MaxSuperRounds et al. are engine-specific knobs, not synonyms.
