@@ -69,8 +69,9 @@ func newCanonicalQueue(seed int64, candidates []graph.NodeID) *fifoQueue {
 // (CanonicalPriority, ID) order, a deletable node is committed
 // immediately, and the dirtied survivors rejoin the back of the queue in
 // increasing ID order. test supplies the deletability verdict of a node on
-// the current residual — cache.Deletable for the batch engine, the
-// fingerprint-memoized variant for the streaming engine — and MUST equal
+// the current residual — cache.Deletable for the batch engine; the
+// streaming engine runs the same loop through Replay with its
+// fingerprint-memoized variant — and MUST equal
 // VertexDeletable on the materialized live graph, or the fixpoint diverges
 // from the canonical one. Returns the deleted nodes in deletion order and
 // the number of tests.
@@ -89,7 +90,7 @@ func CanonicalElect(net Network, seed int64, cache *vpt.Cache, test func(v graph
 // The shard engine runs it over its regions (internal/shard), so the
 // sharded and unsharded schedules are the same loop by construction.
 func CanonicalElectOver(res Residual, seed int64, candidates []graph.NodeID, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
-	return elect(res, newCanonicalQueue(seed, candidates), test)
+	return elect(res, newCanonicalQueue(seed, candidates), test, nil)
 }
 
 func scheduleCanonical(net Network, opts Options) (Result, error) {

@@ -128,7 +128,7 @@ func TestCanonicalPriorityTotalOrder(t *testing.T) {
 // come in (priority, ID) order, a re-pushed node rejoins at the back, and
 // a Push while the node is pending, or of a node the queue was not seeded
 // with (a boundary node), is a no-op, so a node is tested at most once per
-// dirtying.
+// dirtying. Push reports whether it enqueued.
 func TestElectionQueueContract(t *testing.T) {
 	nodes := []graph.NodeID{4, 0, 3, 1, 2}
 	q := newCanonicalQueue(3, nodes)
@@ -139,13 +139,21 @@ func TestElectionQueueContract(t *testing.T) {
 	// The popped head rejoins at the back. Pushing it again while it is
 	// pending, pushing the nodes still pending from the seed, and pushing
 	// a non-candidate are no-ops.
-	q.Push(first)
-	for _, v := range nodes {
-		q.Push(v)
+	if !q.Push(first) {
+		t.Fatalf("Push of the popped node %d reported no entry", first)
 	}
-	q.Push(99)
+	for _, v := range nodes {
+		if q.Push(v) {
+			t.Fatalf("Push of the pending node %d reported an entry", v)
+		}
+	}
+	if q.Push(99) {
+		t.Fatal("Push of a non-candidate reported an entry")
+	}
 	second, _ := q.Pop()
-	q.Push(second)
+	if !q.Push(second) {
+		t.Fatalf("Push of the popped node %d reported no entry", second)
+	}
 	order := []graph.NodeID{first, second}
 	for {
 		w, ok := q.Pop()

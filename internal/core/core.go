@@ -286,7 +286,8 @@ func scheduleSequential(net Network, opts Options) (Result, error) {
 // left) and marks it not-pending; Push re-enqueues a candidate and is a
 // no-op while that candidate is still pending, so a node is tested at most
 // once per dirtying. Pushing a node outside the candidate set (a boundary
-// node) is a no-op too.
+// node) is a no-op too. Push reports whether it enqueued: whether the push
+// created a queue entry.
 type fifoQueue struct {
 	q       []graph.NodeID
 	pending map[graph.NodeID]bool // key present ⇔ candidate
@@ -310,12 +311,13 @@ func (f *fifoQueue) Pop() (graph.NodeID, bool) {
 	return v, true
 }
 
-func (f *fifoQueue) Push(v graph.NodeID) {
+func (f *fifoQueue) Push(v graph.NodeID) bool {
 	if pending, ok := f.pending[v]; !ok || pending {
-		return
+		return false
 	}
 	f.pending[v] = true
 	f.q = append(f.q, v)
+	return true
 }
 
 // Residual is the live graph the greedy election deletes from. Alive
@@ -323,7 +325,8 @@ func (f *fifoQueue) Push(v graph.NodeID) {
 // returns, in increasing ID order, the live nodes whose verdict may have
 // changed: those within ⌈τ/2⌉ hops of a deleted node. It must not retain
 // the slice. *vpt.Cache is the residual of every in-memory engine; the
-// shard engine (internal/shard) implements it over its regions' caches.
+// shard engine (internal/shard) implements it over its regions' caches,
+// and the replaying stream election (Replay) over its cache.
 type Residual interface {
 	Alive(v graph.NodeID) bool
 	Commit(deleted []graph.NodeID) []graph.NodeID
@@ -337,9 +340,11 @@ type Residual interface {
 // the nodes whose Γ^k contained it — so only those can change verdict.
 // The engines differ only in q's initial order and in the residual; test
 // supplies the verdict of a node on the current residual and must equal
-// VertexDeletable on the live graph. Returns the deleted nodes in deletion
-// order and the number of tests.
-func elect(res Residual, q *fifoQueue, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
+// VertexDeletable on the live graph. created, when non-nil, is called with
+// every node a deletion's pushes enqueue, in push order (the replaying
+// election records them; see Replay). Returns the deleted nodes in
+// deletion order and the number of tests.
+func elect(res Residual, q *fifoQueue, test func(v graph.NodeID) bool, created func(w graph.NodeID)) (deleted []graph.NodeID, tests int) {
 	one := make([]graph.NodeID, 1)
 	for {
 		v, ok := q.Pop()
@@ -356,7 +361,9 @@ func elect(res Residual, q *fifoQueue, test func(v graph.NodeID) bool) (deleted 
 		deleted = append(deleted, v)
 		one[0] = v
 		for _, w := range res.Commit(one) {
-			q.Push(w)
+			if q.Push(w) && created != nil {
+				created(w)
+			}
 		}
 	}
 }
@@ -364,7 +371,7 @@ func elect(res Residual, q *fifoQueue, test func(v graph.NodeID) bool) (deleted 
 // electResult runs elect over q with the cache's own verdicts and
 // assembles the Result.
 func electResult(net Network, cache *vpt.Cache, q *fifoQueue) Result {
-	deleted, tests := elect(cache, q, cache.Deletable)
+	deleted, tests := elect(cache, q, cache.Deletable, nil)
 	return finishResult(net, cache.LiveGraph(), deleted, Stats{Rounds: 1, Tests: tests})
 }
 
@@ -525,6 +532,14 @@ func scheduleParallel(net Network, opts Options) (Result, error) {
 // in the node set.) It returns the first violating node if any. This is an
 // exhaustive global check — quadratic in practice — intended for tests and
 // small networks.
+//
+// The schedulers do not guarantee it. They guarantee local maximality (no
+// kept internal node passes the void-preserving test on Final) and, at τ
+// of at least AchievableTau, VerifyConfine. The local test is sufficient
+// for global deletability but not necessary, so a kept node can be
+// globally redundant: over FuzzPublicSchedule's input decoder (n 20–120,
+// τ 3–7), 11 sequential and 8 parallel of 149 schedules at τ ≥
+// AchievableTau failed this check.
 func VerifyNonRedundant(net Network, final *graph.Graph, tau int) (bool, graph.NodeID, error) {
 	for _, v := range final.Nodes() {
 		if net.Boundary[v] {

@@ -73,7 +73,7 @@ func TestWitnessKeptVerdictsMatchFresh(t *testing.T) {
 				cache := vpt.NewCache(g, tau)
 				res := &witnessResidual{t: t, cache: cache}
 				res.label = density.name + "/" + run.engine
-				deleted, _ := elect(res, run.q, cache.Deletable)
+				deleted, _ := elect(res, run.q, cache.Deletable, nil)
 				if len(deleted) == 0 || res.kept == 0 {
 					t.Fatalf("%s n=%d tau=%d: %d deletions, %d kept verdicts — the instance exercises nothing",
 						res.label, n, tau, len(deleted), res.kept)

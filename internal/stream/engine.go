@@ -91,7 +91,8 @@ type Stats struct {
 	MemoHits    int // verdicts served by the neighborhood-fingerprint memo
 	MemoMisses  int
 	MemoResets  int // wholesale memo drops at MemoLimit
-	WitnessHits int // re-tests of refuted nodes the election's cache answered: Tests = MemoHits + MemoMisses + WitnessHits
+	WitnessHits int // re-tests of refuted nodes the election's cache answered
+	ReplayHits  int // tests that replayed the last election's verdict: Tests = MemoHits + MemoMisses + WitnessHits + ReplayHits
 
 	// Durability.
 	WALBytes  int64
@@ -137,6 +138,7 @@ type Engine struct {
 
 	memo      map[memoKey]vpt.Verdict
 	memoLimit int
+	replay    core.Replay // the last election's trace, and what changed since
 
 	cover      []graph.NodeID // live internal nodes after the last election
 	coverStale bool
@@ -159,7 +161,7 @@ type telHandles struct {
 	admitted, applied, rejected, duplicates, coalesced *telemetry.Counter
 	rebuilds, fastRestores                             *telemetry.Counter
 	elections, tests, memoHits, memoMisses, memoResets *telemetry.Counter
-	witnessHits, walBytes, snapshots                   *telemetry.Counter
+	witnessHits, replayHits, walBytes, snapshots       *telemetry.Counter
 	watermark, pending, live                           *telemetry.Gauge
 }
 
@@ -178,6 +180,7 @@ func newTelHandles(reg *telemetry.Registry) telHandles {
 		memoMisses:   reg.Counter("stream.memo_misses"),
 		memoResets:   reg.Counter("stream.memo_resets"),
 		witnessHits:  reg.Counter("stream.witness_hits"),
+		replayHits:   reg.Counter("stream.replay_hits"),
 		walBytes:     reg.Counter("stream.wal_bytes"),
 		snapshots:    reg.Counter("stream.snapshots"),
 		watermark:    reg.Gauge("stream.watermark"),
@@ -209,6 +212,7 @@ func (e *Engine) publish() {
 	pubInt(e.th.memoMisses, &p.MemoMisses, s.MemoMisses)
 	pubInt(e.th.memoResets, &p.MemoResets, s.MemoResets)
 	pubInt(e.th.witnessHits, &p.WitnessHits, s.WitnessHits)
+	pubInt(e.th.replayHits, &p.ReplayHits, s.ReplayHits)
 	pubInt64(e.th.walBytes, &p.WALBytes, s.WALBytes)
 	pubInt(e.th.snapshots, &p.Snapshots, s.Snapshots)
 	e.th.watermark.Set(int64(e.watermark))
@@ -403,11 +407,13 @@ func (e *Engine) apply(ev Event) error {
 		if t.alive(ev.Node) {
 			return fmt.Errorf("%w: join of live node %d", ErrInvalidEvent, ev.Node)
 		}
+		e.touch(ev.Node)
 		t.join(ev.Node, geom.Point{X: ev.X, Y: ev.Y})
 	case KindLeave, KindCrash:
 		if !t.alive(ev.Node) {
 			return fmt.Errorf("%w: %s of absent node %d", ErrInvalidEvent, ev.Kind, ev.Node)
 		}
+		e.touch(ev.Node)
 		t.depart(ev.Node)
 	case KindEdgeUp:
 		if !t.alive(ev.Node) || !t.alive(ev.Peer) {
@@ -416,6 +422,7 @@ func (e *Engine) apply(ev Event) error {
 		if t.hasEdge(ev.Node, ev.Peer) {
 			return fmt.Errorf("%w: edge %d-%d already present", ErrInvalidEvent, ev.Node, ev.Peer)
 		}
+		e.touch(ev.Node, ev.Peer)
 		t.edgeUp(ev.Node, ev.Peer)
 	case KindEdgeDown:
 		if !t.alive(ev.Node) || !t.alive(ev.Peer) {
@@ -424,16 +431,29 @@ func (e *Engine) apply(ev Event) error {
 		if !t.hasEdge(ev.Node, ev.Peer) {
 			return fmt.Errorf("%w: edge %d-%d not present", ErrInvalidEvent, ev.Node, ev.Peer)
 		}
+		e.touch(ev.Node, ev.Peer)
 		t.edgeDown(ev.Node, ev.Peer)
 	case KindMove:
 		if !t.alive(ev.Node) {
 			return fmt.Errorf("%w: move of absent node %d", ErrInvalidEvent, ev.Node)
+		}
+		if t.radius > 0 { // an explicit-mode move is metadata only
+			e.touch(ev.Node)
 		}
 		t.move(ev.Node, geom.Point{X: ev.X, Y: ev.Y})
 	}
 	e.stats.Applied++
 	e.coverStale = true
 	return nil
+}
+
+// touch tells the election replay that the event about to be applied
+// changes the liveness or incident edges of nodes, while the topology's
+// live view still shows the graph before it.
+func (e *Engine) touch(nodes ...graph.NodeID) {
+	for _, v := range nodes {
+		e.replay.Touch(e.topo.view, v, e.topo.scratch)
+	}
 }
 
 // applyOne applies and quarantines on failure.
@@ -512,17 +532,24 @@ func (e *Engine) flush() {
 	e.pending = e.pending[:0]
 }
 
-// elect re-runs the canonical election over the live topology. The verdict
-// function is cache.Deletable memoized by neighborhood fingerprint: a
-// vertex whose k-hop residual neighborhood is unchanged since any earlier
-// election reuses its verdict, so an event's cost concentrates inside its
-// ≤⌈τ/2⌉-hop dirty region — every fingerprint outside it is unchanged.
-// Memo hits cannot change the outcome (fingerprint equality implies
-// identically labeled neighborhoods), so the cover stays a pure function
-// of the topology; the dccdebug build re-derives a capped number of hits
-// to prove it. A memo-served "no" enters the cache with its witness, so a
-// re-test after a deletion that misses the witness is answered by the
-// cache without a fingerprint (Stats.WitnessHits).
+// elect re-runs the canonical election over the live topology, replaying
+// the last election (core.Replay): a test whose node and k-hop
+// neighborhood the events since then provably left alone takes the
+// recorded verdict (Stats.ReplayHits), and its deletion commits the
+// recorded dirty ball without a BFS, so an event's verdict and ball work
+// concentrates inside the region its effects reach. The rest of the
+// election — materializing the live graph, the cache, the queue walk over
+// every node — is still linear in n. Every other test asks, in turn, the
+// election's cache (a re-test of a refuted node whose witness the
+// deletions missed, Stats.WitnessHits), the verdict memo keyed by
+// neighborhood fingerprint (a vertex whose k-hop residual neighborhood is
+// unchanged since any earlier election, Stats.MemoHits), and the verdict
+// function itself. None of the three can change the outcome (fingerprint
+// equality implies identically labeled neighborhoods), so the cover stays
+// a pure function of the topology; the dccdebug build re-runs replayed
+// elections without the trace and re-derives a capped number of served
+// verdicts to prove it. A memo-served or replayed "no" enters the cache
+// with its witness.
 func (e *Engine) elect() {
 	if !e.coverStale {
 		return
@@ -534,11 +561,11 @@ func (e *Engine) elect() {
 	cache.Instrument(e.tel)
 	view := cache.View()
 	scratch := graph.NewScratch(live)
-	test := func(v graph.NodeID) bool {
+	test := func(v graph.NodeID) vpt.Verdict {
 		if x, ok := cache.Cached(v); ok {
 			e.stats.WitnessHits++
 			debugCheckWitnessHit(cache, v, x.Deletable(), scratch, e.tester)
-			return x.Deletable()
+			return x
 		}
 		fp := view.NeighborhoodFingerprint(v, e.k, scratch)
 		key := memoKey{v: v, fp: fp}
@@ -546,22 +573,23 @@ func (e *Engine) elect() {
 			e.stats.MemoHits++
 			debugCheckMemoVerdict(cache, v, x.Deletable(), scratch, e.tester)
 			cache.StoreVerdict(v, x)
-			return x.Deletable()
+			return x
 		}
 		e.stats.MemoMisses++
-		verdict := cache.Deletable(v)
+		cache.Deletable(v)
 		x, _ := cache.Cached(v)
 		if len(e.memo) >= e.memoLimit {
 			e.memo = make(map[memoKey]vpt.Verdict)
 			e.stats.MemoResets++
 		}
 		e.memo[key] = x
-		return verdict
+		return x
 	}
 	net := core.Network{G: live, Boundary: e.boundary, BoundaryCycles: e.cycles}
-	_, tests := core.CanonicalElect(net, e.seed, cache, test)
+	_, tests, replayed := e.replay.Elect(net, e.seed, cache, test)
 	e.stats.Elections++
 	e.stats.Tests += tests
+	e.stats.ReplayHits += replayed
 	e.cover = e.cover[:0]
 	for _, v := range cache.LiveNodes() {
 		if !e.boundary[v] {

@@ -93,23 +93,29 @@ func TestEngineStaticCover(t *testing.T) {
 // TestEngineDifferentialConvergence is the differential suite of the
 // convergence contract: a seeded valid event stream is applied through the
 // engine while the Mutator maintains an engine-independent shadow
-// topology; at every checkpoint the engine's cover fingerprint must equal
+// topology; after every event the engine's cover fingerprint must equal
 // the batch canonical schedule of the shadow. Runs both topology modes.
+// The 36-node inputs put nearly every node within reach of each event, so
+// their elections barely replay the last one; the 324-node inputs must
+// replay.
 func TestEngineDifferentialConvergence(t *testing.T) {
 	cases := []struct {
-		name   string
-		radius float64
+		name         string
+		radius       float64
+		side, events int
 	}{
-		{"explicit", 0},
-		{"geometric", 1.6},
-	}
-	events := 90
-	if testing.Short() {
-		events = 40
+		{"explicit", 0, 6, 90},
+		{"geometric", 1.6, 6, 90},
+		{"explicit-324", 0, 18, 40},
+		{"geometric-324", 1.6, 18, 40},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			net, pos := testDeploy(t, 60, 6, 6, 1.6)
+			events := tc.events
+			if testing.Short() {
+				events = tc.events * 4 / 9
+			}
+			net, pos := testDeploy(t, 60, tc.side, tc.side, 1.6)
 			cfg := Config{Tau: 4, Seed: 21, Radius: tc.radius, Positions: pos}
 			e, err := New(net, cfg)
 			if err != nil {
@@ -120,19 +126,20 @@ func TestEngineDifferentialConvergence(t *testing.T) {
 				if err := e.Step(m.Next()); err != nil {
 					t.Fatalf("event %d rejected: %v", i, err)
 				}
-				if (i+1)%10 == 0 {
-					want := shadowFingerprint(t, m, net, cfg.Tau, cfg.Seed)
-					if got := e.CoverFingerprint(); got != want {
-						t.Fatalf("after %d events: engine diverged from shadow batch schedule", i+1)
-					}
+				want := shadowFingerprint(t, m, net, cfg.Tau, cfg.Seed)
+				if got := e.CoverFingerprint(); got != want {
+					t.Fatalf("after %d events: engine diverged from shadow batch schedule", i+1)
 				}
 			}
 			s := e.Stats()
 			if s.Applied != events || s.Rejected != 0 {
 				t.Fatalf("stream stats %+v: want %d applied, 0 rejected", s, events)
 			}
-			if s.Elections < events/10 {
-				t.Fatalf("only %d elections for %d checkpoints", s.Elections, events/10)
+			if s.Elections < events {
+				t.Fatalf("only %d elections for %d checkpoints", s.Elections, events)
+			}
+			if tc.side >= 18 && s.ReplayHits == 0 {
+				t.Fatalf("stream stats %+v: a %d-node deployment never replayed a verdict", s, tc.side*tc.side)
 			}
 		})
 	}
@@ -393,8 +400,9 @@ func TestEngineMemoEffectiveness(t *testing.T) {
 
 // TestEngineWitnessHits: inside an election, re-tests of refuted nodes
 // whose witness the deletions missed are answered by the cache, and every
-// test is served exactly one way — by the cache, the memo, or a fresh
-// verdict — also when the memo is dropped over and over.
+// test is served exactly one way — by the last election's trace, the
+// cache, the memo, or a fresh verdict — also when the memo is dropped over
+// and over.
 func TestEngineWitnessHits(t *testing.T) {
 	net, pos := testDeploy(t, 85, 8, 8, 1.6)
 	for _, limit := range []int{0, 4} {
@@ -410,8 +418,8 @@ func TestEngineWitnessHits(t *testing.T) {
 			e.Cover()
 		}
 		s := e.Stats()
-		if s.WitnessHits == 0 || s.Tests != s.MemoHits+s.MemoMisses+s.WitnessHits {
-			t.Fatalf("memo limit %d: stats %+v: want witness hits, and Tests = MemoHits + MemoMisses + WitnessHits", limit, s)
+		if s.WitnessHits == 0 || s.Tests != s.MemoHits+s.MemoMisses+s.WitnessHits+s.ReplayHits {
+			t.Fatalf("memo limit %d: stats %+v: want witness hits, and Tests = MemoHits + MemoMisses + WitnessHits + ReplayHits", limit, s)
 		}
 	}
 }

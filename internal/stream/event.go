@@ -1,7 +1,8 @@
 // Package stream is the event-sourced streaming layer over the incremental
 // coverage engine: it ingests typed topology events (node join/leave/crash,
 // edge up/down, mobility ticks), maintains the active coverage set by
-// re-electing with the canonical engine (core.CanonicalElect) under a
+// re-electing with the canonical engine, replaying the last election
+// except where the events' effects reach (core.Replay) under a
 // neighborhood-fingerprint verdict memo, and makes the whole state machine
 // crash-safe through a checksummed write-ahead log with periodic snapshots
 // (DESIGN.md §13).

@@ -320,30 +320,60 @@ func (c *Cache) remove(del []graph.NodeID) []graph.NodeID {
 	dirty := c.dirty[:0]
 	for _, v := range del {
 		ball := c.view.KHopBallIndices(v, c.k, c.scratch)
-		m := probes(v)
-		for _, bi := range ball {
-			if c.verdict[bi].touchedBy(m) {
-				c.verdict[bi] = verdictStale
-			}
-		}
+		c.markStale(v, ball)
 		dirty = append(dirty, ball...)
 	}
 	c.dirty = dirty
 	for _, v := range del {
-		if c.view.Delete(v) {
-			if i, ok := c.g.IndexOf(v); ok {
-				c.verdict[i] = 0 // dead vertices are never deletable
-			}
-		}
+		c.kill(v)
 	}
 	slices.Sort(dirty)
+	return c.settle(dirty)
+}
+
+// CommitBall is Commit of the one live vertex v for a caller that already
+// holds v's dirty ball: the base indices of the live vertices within k
+// live-path hops of v, v excluded, ascending — what
+// View().KHopBallIndices(v, Radius(), s) returns on the current view. It
+// skips the ball's BFS and returns what Commit([]graph.NodeID{v}) would.
+// The replaying election (internal/core) commits recorded balls this way.
+// The caller's slice is not retained.
+func (c *Cache) CommitBall(v graph.NodeID, ball []int32) []graph.NodeID {
+	c.markStale(v, ball)
+	c.kill(v)
+	return c.settle(ball)
+}
+
+// markStale marks stale the verdicts in the ball of the removed vertex v
+// that v may touch.
+func (c *Cache) markStale(v graph.NodeID, ball []int32) {
+	m := probes(v)
+	for _, bi := range ball {
+		if c.verdict[bi].touchedBy(m) {
+			c.verdict[bi] = verdictStale
+		}
+	}
+}
+
+// kill deletes v from the view; a dead vertex is never deletable.
+func (c *Cache) kill(v graph.NodeID) {
+	if c.view.Delete(v) {
+		if i, ok := c.g.IndexOf(v); ok {
+			c.verdict[i] = 0
+		}
+	}
+}
+
+// settle resolves a removal's dirty region, ascending base indices with
+// possible repeats, to the live vertices it returns: stale verdicts become
+// unknown, kept ones are counted.
+func (c *Cache) settle(dirty []int32) []graph.NodeID {
 	out := make([]graph.NodeID, 0, len(dirty))
 	for i, bi := range dirty {
 		if i > 0 && dirty[i-1] == bi {
 			continue
 		}
-		id := c.g.NodeAt(int(bi))
-		if !c.view.Alive(id) {
+		if !c.view.AliveAt(int(bi)) {
 			continue // removed alongside v in the same batch
 		}
 		switch c.verdict[bi] {
@@ -356,7 +386,7 @@ func (c *Cache) remove(del []graph.NodeID) []graph.NodeID {
 			c.stats.Kept++
 			c.telKept.Inc()
 		}
-		out = append(out, id)
+		out = append(out, c.g.NodeAt(int(bi)))
 	}
 	c.telDirty.Observe(int64(len(out)))
 	debugAuditClean(c)

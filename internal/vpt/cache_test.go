@@ -168,6 +168,41 @@ func TestCacheRemoveInvalidatesLikeCommit(t *testing.T) {
 	checkAgainstFresh(t, b, "after crash removal")
 }
 
+// TestCacheCommitBallMatchesCommit: a deletion committed with its known
+// dirty ball returns the same region and leaves the same cached verdicts
+// as Commit's own BFS, deletion after deletion with verdicts cached in
+// between.
+func TestCacheCommitBallMatchesCommit(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	g := randomConnected(r, 60, 0.12)
+	a, b := NewCache(g, 4), NewCache(g, 4)
+	s := graph.NewScratch(g)
+	for _, v := range r.Perm(60)[:20] {
+		id := graph.NodeID(v)
+		for _, w := range a.LiveNodes() {
+			a.Deletable(w)
+			b.Deletable(w)
+		}
+		ball := slices.Clone(b.View().KHopBallIndices(id, b.Radius(), s))
+		da := a.Commit([]graph.NodeID{id})
+		db := b.CommitBall(id, ball)
+		if !slices.Equal(da, db) {
+			t.Fatalf("deleting %d: Commit dirty %v != CommitBall dirty %v", id, da, db)
+		}
+		for _, w := range a.LiveNodes() {
+			xa, oka := a.Cached(w)
+			xb, okb := b.Cached(w)
+			if xa != xb || oka != okb {
+				t.Fatalf("deleting %d: node %d cached (%v, %v) after Commit, (%v, %v) after CommitBall", id, w, xa, oka, xb, okb)
+			}
+		}
+		if a.Stats() != b.Stats() {
+			t.Fatalf("deleting %d: stats %+v after Commit, %+v after CommitBall", id, a.Stats(), b.Stats())
+		}
+	}
+	checkAgainstFresh(t, b, "after known-ball commits")
+}
+
 // TestCacheBatchCommit: removing an independent set at once (the parallel
 // scheduler's round commit) must dirty the union of balls and never return
 // a vertex of the batch itself.

@@ -99,9 +99,12 @@ go test -short -race -run '^TestShardCountEquivalence$' .
 
 echo '== streaming chaos smoke (race + deep assertions)'
 # The event-stream chaos harness: crash-restart at seeded WAL offsets with
-# producer redelivery, torn snapshots, and the WAL mutation matrix, with
-# the dccdebug memo cross-checks armed.
-go test -short -race -tags dccdebug -run '^TestStreamChaosMatrix$' ./internal/stream
+# producer redelivery, torn snapshots, and the WAL mutation matrix, plus
+# the per-event convergence suite and the replaying election's
+# differential test, with the dccdebug memo cross-checks and the replay
+# oracle (every replayed election re-run without its trace) armed.
+go test -short -race -tags dccdebug -run '^TestStreamChaosMatrix$|^TestEngineDifferentialConvergence$' ./internal/stream
+go test -short -race -tags dccdebug -run '^TestReplayMatchesCanonical$' ./internal/core
 
 echo '== telemetry byte-identity'
 # The observability contract (DESIGN.md §14): collecting metrics must not
@@ -127,6 +130,7 @@ go test -run=NONE -fuzz='^FuzzFrameRoundTrip$' -fuzztime="$FUZZTIME" ./internal/
 go test -run=NONE -fuzz='^FuzzCacheConsistency$' -fuzztime="$FUZZTIME" ./internal/vpt
 go test -run=NONE -fuzz='^FuzzScenarioDeterminism$' -fuzztime="$FUZZTIME" ./internal/scenario
 go test -run=NONE -fuzz='^FuzzWALReplay$' -fuzztime="$FUZZTIME" ./internal/stream
+go test -run=NONE -fuzz='^FuzzCanonicalReplay$' -fuzztime="$FUZZTIME" ./internal/core
 go test -run=NONE -fuzz='^FuzzPublicSchedule$' -fuzztime="$FUZZTIME" .
 
 echo 'check.sh: all gates passed'
