@@ -74,6 +74,17 @@ func TestSentinelErrorsWrapped(t *testing.T) {
 		{"QuasiInner=1.5", DeployOptions{Nodes: 50, Model: QuasiUDG, QuasiInner: 1.5}},
 		{"QuasiP=2", DeployOptions{Nodes: 50, QuasiP: 2}},
 		{"QuasiP=NaN", DeployOptions{Nodes: 50, Model: QuasiUDG, QuasiP: nan}},
+		{"Target inverted", DeployOptions{Nodes: 50, Rc: 1.5, Target: Rect{MaxX: -5, MaxY: 5}}},
+		{"Target flat", DeployOptions{Nodes: 50, Rc: 1.5, Target: Rect{MinY: 5, MaxX: 5, MaxY: 5}}},
+		{"Target NaN", DeployOptions{Nodes: 50, Rc: 1.5, Target: Rect{MaxX: nan, MaxY: 5}}},
+		{"Target -Inf", DeployOptions{Nodes: 50, Rc: 1.5, Target: Rect{MinX: -inf, MaxX: 5, MaxY: 5}}},
+		{"Obstacle R=-1", DeployOptions{Nodes: 50, Rc: 1.5, Target: Rect{MaxX: 5, MaxY: 5}, Obstacles: []Circle{{Center: Point{X: 2.5, Y: 2.5}, R: -1}}}},
+		{"Obstacle R=0", DeployOptions{Nodes: 50, Rc: 1.5, Target: Rect{MaxX: 5, MaxY: 5}, Obstacles: []Circle{{Center: Point{X: 2.5, Y: 2.5}}}}},
+		{"Obstacle R=NaN", DeployOptions{Nodes: 50, Rc: 1.5, Target: Rect{MaxX: 5, MaxY: 5}, Obstacles: []Circle{{Center: Point{X: 2.5, Y: 2.5}, R: nan}}}},
+		{"Obstacle R=+Inf", DeployOptions{Nodes: 50, Rc: 1.5, Target: Rect{MaxX: 5, MaxY: 5}, Obstacles: []Circle{{Center: Point{X: 2.5, Y: 2.5}, R: inf}}}},
+		{"Obstacle centre NaN", DeployOptions{Nodes: 50, Rc: 1.5, Target: Rect{MaxX: 5, MaxY: 5}, Obstacles: []Circle{{Center: Point{X: nan, Y: 2.5}, R: 1}}}},
+		{"Model=3", DeployOptions{Nodes: 50, Model: 3}},
+		{"Model=-1", DeployOptions{Nodes: 50, Model: -1}},
 	} {
 		if _, err := Deploy(tc.opts); !errors.Is(err, ErrInvalidDeployOptions) {
 			t.Errorf("Deploy(%s) err = %v, want errors.Is ErrInvalidDeployOptions", tc.name, err)

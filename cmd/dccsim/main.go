@@ -40,7 +40,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("dccsim", flag.ContinueOnError)
 	var (
-		fig      = fs.String("fig", "all", "figure to regenerate: 1..7, 'engines', 'loss', 'reliability', 'rotation', 'scenarios', 'stability', 'streaming', 'sharded', comma-separated, or 'all'")
+		fig      = fs.String("fig", "all", "figure to regenerate: 1..7, 'engines', 'loss', 'reliability', 'rotation', 'scenarios', 'stability', 'streaming', comma-separated, or 'all'")
 		seed     = fs.Int64("seed", 1, "random seed")
 		runs     = fs.Int("runs", 0, "random repetitions (0 = preset default)")
 		nodes    = fs.Int("nodes", 0, "deployment size (0 = preset default)")
@@ -110,7 +110,6 @@ func run(args []string, w io.Writer) error {
 		{"scenarios", func() error { _, err := experiments.ScenarioOracles(w, cfg); return err }},
 		{"stability", func() error { _, err := experiments.ScenarioStability(w, cfg); return err }},
 		{"streaming", func() error { _, err := experiments.Streaming(w, cfg); return err }},
-		{"sharded", func() error { _, err := experiments.Sharded(w, cfg); return err }},
 	}
 	ran := 0
 	for _, r := range runners {

@@ -39,18 +39,6 @@ func TestRunStreaming(t *testing.T) {
 	}
 }
 
-func TestRunSharded(t *testing.T) {
-	// The sharded figure end to end at a tiny scale: the deterministic
-	// equivalence check against the unsharded canonical engine.
-	var out strings.Builder
-	if err := run([]string{"-fig", "sharded", "-nodes", "60", "-runs", "1"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if want := "byte-identical schedules: 3/3"; !strings.Contains(out.String(), want) {
-		t.Fatalf("sharded figure output missing %q:\n%s", want, out.String())
-	}
-}
-
 func TestRunWorkersFlag(t *testing.T) {
 	// -workers reaches the engine; any value must be accepted and produce
 	// the same figure (byte equivalence is covered in internal/experiments).

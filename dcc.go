@@ -107,7 +107,10 @@ var (
 	// ErrInvalidDeployOptions is wrapped by Deploy for options outside
 	// their domain: Nodes ≤ 0; an AvgDegree, Rc, Gamma or BandWidth that
 	// is negative or not finite; a QuasiInner or QuasiP that is not
-	// finite or lies outside [0, 1]. Zero still selects a field's default.
+	// finite or lies outside [0, 1]; a non-zero Target whose bounds are
+	// not finite or that has no area; an obstacle whose centre is not
+	// finite or whose radius is not finite and positive; a Model other
+	// than 0, UDG and QuasiUDG. Zero still selects a field's default.
 	ErrInvalidDeployOptions = errors.New("dcc: invalid deployment options")
 )
 
@@ -191,6 +194,14 @@ func (o DeployOptions) withDefaults() (DeployOptions, error) {
 	if o.Nodes <= 0 {
 		return o, fmt.Errorf("%w: Nodes %d must be positive", ErrInvalidDeployOptions, o.Nodes)
 	}
+	finite := func(vs ...float64) bool {
+		for _, v := range vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+		return true
+	}
 	for _, f := range []struct {
 		name     string
 		v        float64
@@ -204,11 +215,22 @@ func (o DeployOptions) withDefaults() (DeployOptions, error) {
 		{"QuasiP", o.QuasiP, true},
 	} {
 		switch {
-		case math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0:
+		case !finite(f.v) || f.v < 0:
 			return o, fmt.Errorf("%w: %s %v must be finite and non-negative", ErrInvalidDeployOptions, f.name, f.v)
 		case f.fraction && f.v > 1:
 			return o, fmt.Errorf("%w: %s %v must lie in [0, 1]", ErrInvalidDeployOptions, f.name, f.v)
 		}
+	}
+	if t := o.Target; t != (Rect{}) && !(finite(t.MinX, t.MinY, t.MaxX, t.MaxY) && t.MaxX > t.MinX && t.MaxY > t.MinY) {
+		return o, fmt.Errorf("%w: Target %+v must have finite bounds and a positive area", ErrInvalidDeployOptions, t)
+	}
+	for i, ob := range o.Obstacles {
+		if !finite(ob.Center.X, ob.Center.Y, ob.R) || ob.R <= 0 {
+			return o, fmt.Errorf("%w: Obstacles[%d] %+v must have a finite centre and a finite positive radius", ErrInvalidDeployOptions, i, ob)
+		}
+	}
+	if o.Model != 0 && o.Model != UDG && o.Model != QuasiUDG {
+		return o, fmt.Errorf("%w: unknown link model %d", ErrInvalidDeployOptions, o.Model)
 	}
 	if o.AvgDegree == 0 {
 		o.AvgDegree = 25
@@ -350,8 +372,6 @@ func Deploy(opts DeployOptions) (*Deployment, error) {
 		g = geom.UDG(pts, opts.Rc)
 	case QuasiUDG:
 		g = geom.QuasiUDG(rng, pts, opts.QuasiInner*opts.Rc, opts.Rc, opts.QuasiP)
-	default:
-		return nil, fmt.Errorf("dcc: unknown link model %d", opts.Model)
 	}
 
 	bset := make(map[NodeID]bool)
@@ -526,11 +546,12 @@ func (d *Deployment) VerifyConfine(final *Graph, tau int) (bool, error) {
 func (d *Deployment) CoreArea() Rect { return d.Target.Shrink(d.Rc) }
 
 // CoverageReport measures ground-truth sensing coverage of the kept node
-// set over the core area at the given sampling resolution (0 picks Rs/8).
+// set over the core area at the given sampling resolution (0, or any value
+// that is not finite and positive, picks Rs/8).
 // Virtual repair nodes (no position) are ignored. Points inside obstacles
 // are exempt: obstacle interiors are not part of the monitored area.
 func (d *Deployment) CoverageReport(final *Graph, resolution float64) CoverageReport {
-	if resolution <= 0 {
+	if !(resolution > 0) || math.IsInf(resolution, 1) {
 		resolution = d.Rs / 8
 	}
 	var active []Point

@@ -2,6 +2,7 @@ package dcc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -199,5 +200,25 @@ func TestParallelScheduleOption(t *testing.T) {
 	}
 	if !ok {
 		t.Fatal("parallel schedule violated the criterion")
+	}
+}
+
+// TestCoverageReportResolutionDefault: a resolution that is not finite and
+// positive picks the Rs/8 default, as 0 does, so an uncovered core area
+// reads as a hole at every such value.
+func TestCoverageReportResolutionDefault(t *testing.T) {
+	dep, err := Deploy(DeployOptions{Nodes: 60, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := new(Graph) // no active node
+	want := dep.CoverageReport(none, 0)
+	if want.FullyCovered() {
+		t.Fatal("no active node, yet the core area reads fully covered")
+	}
+	for _, res := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got := dep.CoverageReport(none, res); !reflect.DeepEqual(want, got) {
+			t.Errorf("resolution %v: report %+v, want the default's %+v", res, got, want)
+		}
 	}
 }

@@ -50,7 +50,7 @@ func fuzzSchedule(data []byte) (opts DeployOptions, tau int, parallel bool) {
 // partition the repaired network's nodes, no kept internal node passes the
 // local deletability test on Final, the confine criterion holds on Final
 // whenever the deployment already satisfied it at τ (Theorem 5), and on
-// obstacle-free inputs the shard engine elects exactly the canonical
+// obstacle-free inputs shard.Schedule elects exactly the canonical
 // cover. Global non-redundancy (VerifyNonRedundant) is not asserted: the
 // local test is sufficient for global deletability but not necessary.
 func FuzzPublicSchedule(f *testing.F) {
@@ -113,12 +113,12 @@ func FuzzPublicSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := shardSchedule(dep, tau, shard.Options{Seed: opts.Seed, Shards: 4})
+		got, err := shardSchedule(dep, tau, shard.Options{Seed: opts.Seed})
 		if err != nil {
 			t.Fatalf("shard schedule: %v", err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("tau %d: the shard engine's cover differs from the canonical engine's\nwant stats %+v\ngot  stats %+v",
+			t.Fatalf("tau %d: shard.Schedule's cover differs from the canonical engine's\nwant stats %+v\ngot  stats %+v",
 				tau, want.Stats, got.Stats)
 		}
 	})

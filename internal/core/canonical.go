@@ -81,16 +81,7 @@ func newCanonicalQueue(seed int64, candidates []graph.NodeID) *fifoQueue {
 // topology") then reduces to the equality of the two verdict functions,
 // which the dccdebug cross-checks and the differential suite verify.
 func CanonicalElect(net Network, seed int64, cache *vpt.Cache, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
-	return CanonicalElectOver(cache, seed, net.InternalNodes(), test)
-}
-
-// CanonicalElectOver is CanonicalElect over any residual: the candidates
-// (the internal nodes; dirtied nodes outside them are never tested) are
-// tested in canonical order with test, and deletions are committed to res.
-// The shard engine runs it over its regions (internal/shard), so the
-// sharded and unsharded schedules are the same loop by construction.
-func CanonicalElectOver(res Residual, seed int64, candidates []graph.NodeID, test func(v graph.NodeID) bool) (deleted []graph.NodeID, tests int) {
-	return elect(res, newCanonicalQueue(seed, candidates), test, nil)
+	return elect(cache, newCanonicalQueue(seed, net.InternalNodes()), test, nil)
 }
 
 func scheduleCanonical(net Network, opts Options) (Result, error) {

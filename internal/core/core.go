@@ -324,9 +324,8 @@ func (f *fifoQueue) Push(v graph.NodeID) bool {
 // reports whether v is still live. Commit deletes the given live nodes and
 // returns, in increasing ID order, the live nodes whose verdict may have
 // changed: those within ⌈τ/2⌉ hops of a deleted node. It must not retain
-// the slice. *vpt.Cache is the residual of every in-memory engine; the
-// shard engine (internal/shard) implements it over its regions' caches,
-// and the replaying stream election (Replay) over its cache.
+// the slice. *vpt.Cache is the residual of every batch engine; the
+// replaying stream election (Replay) implements it over its cache.
 type Residual interface {
 	Alive(v graph.NodeID) bool
 	Commit(deleted []graph.NodeID) []graph.NodeID
@@ -614,6 +613,11 @@ type Requirement struct {
 	MaxHoleDiameter float64
 }
 
+// maxPlanTau caps PlanTau's answer, so that a huge admissible hole cannot
+// overflow the conversion to int: no confine cycle is longer than a graph
+// has nodes, and graphs index their nodes with int32.
+const maxPlanTau = math.MaxInt32
+
 // PlanTau returns the largest confine size τ ≥ 3 that satisfies the
 // requirement under Proposition 1:
 //
@@ -621,10 +625,15 @@ type Requirement struct {
 //   - otherwise partial coverage guarantees Dmax ≤ (τ−2)·Rc.
 //
 // Larger τ admits sparser coverage sets, so the maximum feasible τ is the
-// efficient choice.
+// efficient choice. The partial branch's τ is capped at maxPlanTau. A γ
+// that is NaN or not positive, and a Dmax that is NaN, negative or
+// infinite, are input errors.
 func PlanTau(req Requirement) (int, error) {
-	if req.Gamma <= 0 {
-		return 0, fmt.Errorf("core: non-positive gamma %v", req.Gamma)
+	if !(req.Gamma > 0) {
+		return 0, fmt.Errorf("core: gamma %v is not positive", req.Gamma)
+	}
+	if d := req.MaxHoleDiameter; !(d >= 0) || math.IsInf(d, 1) {
+		return 0, fmt.Errorf("core: MaxHoleDiameter %v is not finite and non-negative", d)
 	}
 	best := 0
 	// Blanket branch: γ ≤ 2 sin(π/τ) ⇔ τ ≤ π / asin(γ/2) (for γ ≤ 2). The
@@ -638,7 +647,7 @@ func PlanTau(req Requirement) (int, error) {
 	// Partial branch: (τ−2) ≤ Dmax/Rc. Only meaningful when a hole is
 	// admissible at all, and only under the paper's γ ≤ 2 regime.
 	if req.MaxHoleDiameter > 0 && req.Gamma <= 2 {
-		tauPartial := int(math.Floor(req.MaxHoleDiameter)) + 2
+		tauPartial := int(math.Floor(math.Min(req.MaxHoleDiameter, maxPlanTau-2))) + 2
 		if tauPartial >= 3 && tauPartial > best {
 			best = tauPartial
 		}

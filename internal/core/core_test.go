@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dcc/internal/cycles"
@@ -368,7 +370,16 @@ func TestPlanTau(t *testing.T) {
 		{"partial γ=2 Dmax=4Rc", Requirement{Gamma: 2.0, MaxHoleDiameter: 4}, 6, nil},
 		{"partial beats blanket", Requirement{Gamma: 1.0, MaxHoleDiameter: 7}, 9, nil},
 		{"blanket beats partial", Requirement{Gamma: 1.0, MaxHoleDiameter: 0.5}, 6, nil},
-		{"gamma zero", Requirement{Gamma: 0}, 0, errors.New("any")},
+		{"gamma zero", Requirement{Gamma: 0}, 0, errors.New("gamma")},
+		{"gamma NaN", Requirement{Gamma: math.NaN()}, 0, errors.New("gamma")},
+		{"hole NaN", Requirement{Gamma: 1.9, MaxHoleDiameter: math.NaN()}, 0, errors.New("MaxHoleDiameter")},
+		{"hole negative", Requirement{Gamma: 1.0, MaxHoleDiameter: -1}, 0, errors.New("MaxHoleDiameter")},
+		{"hole +Inf", Requirement{Gamma: 1.9, MaxHoleDiameter: math.Inf(1)}, 0, errors.New("MaxHoleDiameter")},
+		// τ never falls as Dmax grows: a huge Dmax is capped, not
+		// overflowed into an infeasible τ.
+		{"hole 1e18 capped", Requirement{Gamma: 1.9, MaxHoleDiameter: 1e18}, math.MaxInt32, nil},
+		{"hole 1e19 capped", Requirement{Gamma: 1.9, MaxHoleDiameter: 1e19}, math.MaxInt32, nil},
+		{"hole MaxFloat64 capped", Requirement{Gamma: 1.9, MaxHoleDiameter: math.MaxFloat64}, math.MaxInt32, nil},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -377,8 +388,11 @@ func TestPlanTau(t *testing.T) {
 				if err == nil {
 					t.Fatalf("want error, got τ=%d", got)
 				}
-				if errors.Is(tt.wantErr, ErrNoFeasibleTau) && !errors.Is(err, ErrNoFeasibleTau) {
-					t.Fatalf("err = %v, want ErrNoFeasibleTau", err)
+				if errors.Is(tt.wantErr, ErrNoFeasibleTau) != errors.Is(err, ErrNoFeasibleTau) {
+					t.Fatalf("err = %v, want %v", err, tt.wantErr)
+				}
+				if !strings.Contains(err.Error(), tt.wantErr.Error()) {
+					t.Fatalf("err = %v, want it to name %q", err, tt.wantErr)
 				}
 				return
 			}

@@ -50,7 +50,8 @@ func (r Report) MaxHoleDiameter() float64 {
 
 // Analyze samples the target rectangle on a grid with the given cell size
 // and reports the uncovered regions given sensing disks of radius rs
-// centred at the active points.
+// centred at the active points. It panics unless resolution is finite and
+// positive.
 //
 // The sampling introduces a discretisation error of at most one cell
 // diagonal in hole diameters; callers comparing against analytic bounds
@@ -67,8 +68,8 @@ func Analyze(active []geom.Point, rs float64, target geom.Rect, resolution float
 // sensing radius of active[i]. The spatial hash is keyed at the maximum
 // radius so the 3×3 neighbourhood query stays sufficient for every disk.
 func AnalyzeRadii(active []geom.Point, radii []float64, target geom.Rect, resolution float64) Report {
-	if resolution <= 0 {
-		panic("cover: non-positive resolution")
+	if !(resolution > 0) || math.IsInf(resolution, 1) {
+		panic("cover: resolution not finite and positive")
 	}
 	if len(radii) != len(active) {
 		panic("cover: radii/active length mismatch")

@@ -116,12 +116,16 @@ func TestHolesDisjointAndComplete(t *testing.T) {
 }
 
 func TestResolutionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-positive resolution did not panic")
-		}
-	}()
-	Analyze(nil, 1, geom.Square(1), 0)
+	for _, res := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("resolution %v did not panic", res)
+				}
+			}()
+			Analyze(nil, 1, geom.Square(1), res)
+		}()
+	}
 }
 
 func TestDiameterShrinksWithMoreSensors(t *testing.T) {

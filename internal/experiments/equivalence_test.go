@@ -49,7 +49,6 @@ func equivCases() []struct {
 		{"ScenarioOracles", figCfg, func(w io.Writer, cfg Config) (any, error) { return ScenarioOracles(w, cfg) }},
 		{"ScenarioStability", figCfg, func(w io.Writer, cfg Config) (any, error) { return ScenarioStability(w, cfg) }},
 		{"Streaming", figCfg, func(w io.Writer, cfg Config) (any, error) { return Streaming(w, cfg) }},
-		{"Sharded", figCfg, func(w io.Writer, cfg Config) (any, error) { return Sharded(w, cfg) }},
 		// Telemetry re-runs a figure and the streaming experiment with a
 		// live registry (manual clock, instrumented worker pool) and folds
 		// the registry's deterministic-class fingerprint into the compared

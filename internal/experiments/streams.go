@@ -38,8 +38,6 @@ const (
 	streamStabilityJitter
 	streamStreamEvents // streaming replay: deployment + Mutator event randomness
 	streamStreamChaos  // streaming replay: engine/schedule seed + crash offsets
-	streamShardedDeploy
-	streamShardedSchedule
 )
 
 // seedStreams names every stream above for the disjointness and registry
@@ -67,6 +65,4 @@ var seedStreams = map[string]uint64{
 	"stability-jitter":     streamStabilityJitter,
 	"stream-events":        streamStreamEvents,
 	"stream-chaos":         streamStreamChaos,
-	"sharded-deploy":       streamShardedDeploy,
-	"sharded-schedule":     streamShardedSchedule,
 }

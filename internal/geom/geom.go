@@ -155,17 +155,6 @@ func buildIndex(pts []Point, cell float64) map[cellIndex][]int {
 	return idx
 }
 
-// PairsWithin calls fn for every unordered pair (i<j) of points at
-// distance ≤ maxDist, using a spatial hash for near-linear performance.
-// i ascends across calls; the j order within one i is unspecified (sort
-// or dedup downstream when order matters). Exported for the shard engine,
-// which
-// derives each region's links locally from positions instead of inducing
-// them from a global graph.
-func PairsWithin(pts []Point, maxDist float64, fn func(i, j int, d float64)) {
-	pairsWithin(pts, maxDist, fn)
-}
-
 // pairsWithin calls fn for every unordered pair (i<j) of points at distance
 // ≤ maxDist, using a spatial hash for near-linear performance.
 func pairsWithin(pts []Point, maxDist float64, fn func(i, j int, d float64)) {

@@ -9,7 +9,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -31,95 +33,105 @@ func NormEdge(u, v NodeID) Edge {
 }
 
 // Builder accumulates nodes and edges and produces an immutable Graph.
-// Adding an edge implicitly adds its endpoints. Duplicate edges and
-// self-loops are rejected at Build time via error.
+// Adding an edge implicitly adds its endpoints. The records are two plain
+// slices, with no maps: duplicate nodes and duplicate edges (in either
+// orientation) are kept until Build sorts and deduplicates them, so a build
+// costs O((n+m)·log(n+m)) time and the records plus the final arrays in
+// memory. A self-loop is recorded and reported as an error by Build.
+//
+// A Builder is not safe for concurrent use.
 type Builder struct {
-	nodes map[NodeID]struct{}
-	edges map[Edge]struct{}
-	order []Edge // insertion order, for deterministic edge indexing
+	nodes []NodeID
+	edges []Edge // normalized, U < V except for self-loops
 }
 
 // NewBuilder returns an empty Builder.
-func NewBuilder() *Builder {
-	return &Builder{
-		nodes: make(map[NodeID]struct{}),
-		edges: make(map[Edge]struct{}),
-	}
-}
+func NewBuilder() *Builder { return &Builder{} }
 
 // AddNode adds an isolated node (no-op if present).
-func (b *Builder) AddNode(v NodeID) {
-	b.nodes[v] = struct{}{}
-}
+func (b *Builder) AddNode(v NodeID) { b.nodes = append(b.nodes, v) }
 
 // AddEdge adds the undirected edge {u,v}, implicitly adding both endpoints.
 // Duplicate additions are no-ops. Self-loops are recorded and reported as an
 // error by Build.
-func (b *Builder) AddEdge(u, v NodeID) {
-	e := NormEdge(u, v)
-	b.nodes[u] = struct{}{}
-	b.nodes[v] = struct{}{}
-	if _, dup := b.edges[e]; dup {
-		return
-	}
-	b.edges[e] = struct{}{}
-	b.order = append(b.order, e)
-}
+func (b *Builder) AddEdge(u, v NodeID) { b.edges = append(b.edges, NormEdge(u, v)) }
 
-// Build constructs the immutable Graph. It returns an error if a self-loop
-// was added.
+// Build constructs the immutable Graph: node IDs ascending, edges indexed in
+// (U,V) order so that logically equal graphs index identically, and
+// ascending adjacency lists. It returns an error if a self-loop was added.
+// Build sorts and deduplicates the records in place and leaves them valid,
+// so the Builder can grow and build again; the Graph shares no memory with
+// them.
 func (b *Builder) Build() (*Graph, error) {
-	ids := make([]NodeID, 0, len(b.nodes))
-	for v := range b.nodes {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	g := &Graph{ids: ids}
-	g.adj = make([][]int32, len(ids))
-	g.adjEdge = make([][]int32, len(ids))
-	// Deterministic edge indexing: sort edges by endpoints rather than
-	// insertion order so that logically equal graphs index identically.
-	edges := append([]Edge(nil), b.order...)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
-	g.edges = edges
-	g.edgeU = make([]int32, len(edges))
-	g.edgeV = make([]int32, len(edges))
-	for i, e := range edges {
+	for _, e := range b.edges {
 		if e.U == e.V {
 			return nil, fmt.Errorf("graph: self-loop at node %d", e.U)
 		}
-		ui, vi := g.internalIndex(e.U), g.internalIndex(e.V)
-		g.edgeU[i], g.edgeV[i] = int32(ui), int32(vi)
-		g.adj[ui] = append(g.adj[ui], int32(vi))
-		g.adjEdge[ui] = append(g.adjEdge[ui], int32(i))
-		g.adj[vi] = append(g.adj[vi], int32(ui))
-		g.adjEdge[vi] = append(g.adjEdge[vi], int32(i))
 	}
-	for i := range g.adj {
-		a, ae := g.adj[i], g.adjEdge[i]
-		sort.Sort(&adjPair{nbrs: a, edges: ae})
+	slices.Sort(b.nodes)
+	b.nodes = slices.Compact(b.nodes)
+	slices.SortFunc(b.edges, func(x, y Edge) int {
+		if c := cmp.Compare(x.U, y.U); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.V, y.V)
+	})
+	b.edges = slices.Compact(b.edges)
+
+	m := len(b.edges)
+	edgeU, edgeV := make([]int32, m), make([]int32, m)
+	for i, e := range b.edges {
+		u, uok := slices.BinarySearch(b.nodes, e.U)
+		v, vok := slices.BinarySearch(b.nodes, e.V)
+		if !uok || !vok {
+			// An endpoint was never added as a node: every endpoint joins
+			// the node records, and the build starts over.
+			for _, e := range b.edges {
+				b.nodes = append(b.nodes, e.U, e.V)
+			}
+			return b.Build()
+		}
+		edgeU[i], edgeV[i] = int32(u), int32(v)
+	}
+	n := len(b.nodes)
+	g := &Graph{
+		ids:     append(make([]NodeID, 0, n), b.nodes...),
+		adj:     make([][]int32, n),
+		adjEdge: make([][]int32, n),
+		edgeU:   edgeU,
+		edgeV:   edgeV,
+	}
+	if m > 0 {
+		g.edges = append(make([]Edge, 0, m), b.edges...)
+	}
+	// One shared backing array per CSR side, the compactInduced layout;
+	// an isolated node keeps nil lists.
+	deg := make([]int32, n)
+	for i := range edgeU {
+		deg[edgeU[i]]++
+		deg[edgeV[i]]++
+	}
+	nbrBack, edgeBack := make([]int32, 2*m), make([]int32, 2*m)
+	off := int32(0)
+	for i, d := range deg {
+		if d > 0 {
+			g.adj[i] = nbrBack[off : off : off+d]
+			g.adjEdge[i] = edgeBack[off : off : off+d]
+			off += d
+		}
+	}
+	// Filling in edge order keeps every adjacency list ascending: a node's
+	// lower neighbours arrive first, in increasing U, then its higher ones
+	// in increasing V.
+	for i := range edgeU {
+		u, v := edgeU[i], edgeV[i]
+		g.adj[u] = append(g.adj[u], v)
+		g.adjEdge[u] = append(g.adjEdge[u], int32(i))
+		g.adj[v] = append(g.adj[v], u)
+		g.adjEdge[v] = append(g.adjEdge[v], int32(i))
 	}
 	debugCheckGraph(g) // no-op unless built with -tags dccdebug
 	return g, nil
-}
-
-// adjPair sorts an adjacency list and its parallel edge-index list together.
-type adjPair struct {
-	nbrs  []int32
-	edges []int32
-}
-
-func (p *adjPair) Len() int           { return len(p.nbrs) }
-func (p *adjPair) Less(i, j int) bool { return p.nbrs[i] < p.nbrs[j] }
-func (p *adjPair) Swap(i, j int) {
-	p.nbrs[i], p.nbrs[j] = p.nbrs[j], p.nbrs[i]
-	p.edges[i], p.edges[j] = p.edges[j], p.edges[i]
 }
 
 // MustBuild is Build that panics on error; intended for tests and for

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -48,6 +49,154 @@ func TestBuilderSelfLoop(t *testing.T) {
 	b.AddEdge(5, 5)
 	if _, err := b.Build(); err == nil {
 		t.Fatal("self-loop not rejected")
+	}
+}
+
+// TestBuilderSelfLoopAmongRecords: a self-loop recorded among duplicate and
+// implicit-endpoint records surfaces as Build's error, naming its node, on
+// every Build, and MustBuild panics with it.
+func TestBuilderSelfLoopAmongRecords(t *testing.T) {
+	b := NewBuilder()
+	b.AddNode(1)
+	b.AddNode(1)
+	b.AddEdge(3, 1)
+	b.AddEdge(1, 3)
+	b.AddEdge(4, 4)
+	b.AddEdge(2, 9)
+	for i := 0; i < 2; i++ {
+		_, err := b.Build()
+		if err == nil {
+			t.Fatalf("Build %d accepted a self-loop", i)
+		}
+		if want := "graph: self-loop at node 4"; err.Error() != want {
+			t.Fatalf("Build %d: error %q, want %q", i, err, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MustBuild accepted a self-loop")
+		}
+	}()
+	b.MustBuild()
+}
+
+// TestBuilderMatchesSortedRecords: on random records — duplicates, both
+// orientations, non-contiguous IDs, isolated nodes and endpoints never added
+// as nodes — Build yields the Graph that the same records, deduplicated and
+// sorted before they are added, yield.
+func TestBuilderMatchesSortedRecords(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(40)
+		ids := make([]NodeID, n)
+		for i := range ids {
+			ids[i] = NodeID(i*3 + rng.Intn(2)) // collisions on purpose
+		}
+		b := NewBuilder()
+		var nodes []NodeID
+		for _, v := range ids {
+			if rng.Intn(4) != 0 { // the rest enter only as endpoints
+				b.AddNode(v)
+				nodes = append(nodes, v)
+			}
+		}
+		var edges []Edge
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			u, v := ids[rng.Intn(n)], ids[rng.Intn(n)]
+			if u == v {
+				continue
+			}
+			b.AddEdge(v, u)
+			if rng.Intn(3) == 0 {
+				b.AddEdge(u, v)
+			}
+			edges = append(edges, NormEdge(u, v))
+		}
+		got := b.MustBuild()
+
+		slices.Sort(nodes)
+		nodes = slices.Compact(nodes)
+		slices.SortFunc(edges, func(x, y Edge) int {
+			if x.U != y.U {
+				return int(x.U - y.U)
+			}
+			return int(x.V - y.V)
+		})
+		edges = slices.Compact(edges)
+		ref := NewBuilder()
+		for _, v := range nodes {
+			ref.AddNode(v)
+		}
+		for _, e := range edges {
+			ref.AddEdge(e.U, e.V)
+		}
+		want := ref.MustBuild()
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("trial %d: graph differs from the sorted records' graph\nwant ids=%v edges=%v\ngot  ids=%v edges=%v",
+				trial, want.Nodes(), want.Edges(), got.Nodes(), got.Edges())
+		}
+		if !slices.Equal(got.Edges(), edges) {
+			t.Fatalf("trial %d: edges %v, want %v", trial, got.Edges(), edges)
+		}
+		for _, e := range edges {
+			nodes = append(nodes, e.U, e.V)
+		}
+		slices.Sort(nodes)
+		if want := slices.Compact(nodes); !slices.Equal(got.Nodes(), want) {
+			t.Fatalf("trial %d: nodes %v, want %v", trial, got.Nodes(), want)
+		}
+	}
+}
+
+// TestBuilderEmpty: zero records build the empty graph, identical to the
+// empty induced subgraph.
+func TestBuilderEmpty(t *testing.T) {
+	g := Path(3)
+	want := g.compactInduced(nil, NewScratch(g))
+	if got := NewBuilder().MustBuild(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("empty graph %+v, want %+v", got, want)
+	}
+}
+
+// TestBuilderImplicitEndpoints: AddEdge implies its endpoints.
+func TestBuilderImplicitEndpoints(t *testing.T) {
+	b := NewBuilder()
+	b.AddEdge(5, 2)
+	ref := NewBuilder()
+	ref.AddNode(2)
+	ref.AddNode(5)
+	ref.AddEdge(2, 5)
+	if want, got := ref.MustBuild(), b.MustBuild(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("implicit endpoints differ: want %v, got %v", want.Nodes(), got.Nodes())
+	}
+}
+
+// TestBuilderRebuild: Build leaves the records valid, so a Builder grows
+// and builds again, and the first Graph does not alias the records.
+func TestBuilderRebuild(t *testing.T) {
+	b := NewBuilder()
+	b.AddEdge(4, 1)
+	b.AddEdge(1, 2)
+	b.AddNode(9)
+	b.AddEdge(2, 1)
+	first := b.MustBuild()
+	b.AddEdge(0, 4)
+	b.AddEdge(9, 2)
+	second := b.MustBuild()
+
+	want1, err := FromEdges([]Edge{{1, 2}, {1, 4}}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want2, err := FromEdges([]Edge{{0, 4}, {1, 2}, {1, 4}, {2, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want1, first) {
+		t.Fatalf("first build %v %v, want %v %v", first.Nodes(), first.Edges(), want1.Nodes(), want1.Edges())
+	}
+	if !reflect.DeepEqual(want2, second) {
+		t.Fatalf("second build %v %v, want %v %v", second.Nodes(), second.Edges(), want2.Nodes(), want2.Edges())
 	}
 }
 

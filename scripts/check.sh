@@ -21,6 +21,9 @@ fi
 
 echo '== go vet'
 go vet ./...
+# The debug_on.go files compile only under the dccdebug tag, where go test
+# runs just vet's test-time subset of checks.
+go vet -tags dccdebug ./...
 
 echo '== go build'
 go build ./...
@@ -88,14 +91,6 @@ echo '== chaos smoke (race + deep assertions)'
 # dccdebug MIS-independence assertions armed — the combination neither
 # plain gate above covers. -short trims the matrix to a smoke-sized slice.
 go test -short -race -tags dccdebug -run '^TestChaosMatrix$' ./internal/dist
-
-echo '== sharded equivalence smoke (race)'
-# The spatial shard engine's byte-identity contract under the race
-# detector: coordinator, halo-delta exchange and verdict waves across
-# several shard × worker counts must reproduce the unsharded canonical
-# engine exactly. -short trims the sweep to a smoke-sized slice.
-go test -short -race -run '^TestScheduleMatchesCanonical$' ./internal/shard
-go test -short -race -run '^TestShardCountEquivalence$' .
 
 echo '== streaming chaos smoke (race + deep assertions)'
 # The event-stream chaos harness: crash-restart at seeded WAL offsets with
