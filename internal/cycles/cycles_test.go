@@ -522,23 +522,28 @@ func BenchmarkMCBTriangulatedGrid(b *testing.B) {
 }
 
 // BenchmarkSpannedByShort times the span test on a warm Workspace: a
-// triangulated grid that triangles decide at τ = 3, and a ball shaped like
-// the fig3-dense benchmark's (75 unit-disk nodes, m = 516, ν = 442) that
-// triangles leave short and τ = 5 decides with Horton candidates.
+// triangulated grid that triangles span at τ = 3, a ball shaped like the
+// fig3-dense benchmark's (75 unit-disk nodes, m = 516, ν = 442) spanned
+// at τ = 5, both of which the fan certificate decides, and a sparser
+// unit-disk ball (75 nodes at degree 12, m = 373) that the cycles of
+// length ≤ 5 do not span, which only the span engine decides: the
+// triangle and Horton passes run to the end.
 func BenchmarkSpannedByShort(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		g    *graph.Graph
 		tau  int
+		want bool
 	}{
-		{"triangulated-grid", graph.TriangulatedGrid(10, 10), 3},
-		{"fig3-dense-ball", udgPatch(rand.New(rand.NewSource(3)), 75, 18), 5},
+		{"triangulated-grid", graph.TriangulatedGrid(10, 10), 3, true},
+		{"fig3-dense-ball", udgPatch(rand.New(rand.NewSource(3)), 75, 18), 5, true},
+		{"refuted-ball", udgPatch(rand.New(rand.NewSource(2)), 75, 12), 5, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			ws := NewWorkspace()
 			for i := 0; i < b.N; i++ {
-				if !SpannedByShortWS(c.g, c.tau, ws) {
-					b.Fatal("expected spanned")
+				if SpannedByShortWS(c.g, c.tau, ws) != c.want {
+					b.Fatalf("spanned = %v, want %v", !c.want, c.want)
 				}
 			}
 		})

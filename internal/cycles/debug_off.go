@@ -14,4 +14,6 @@ type debugState struct{}
 
 func debugCheckSpan(*Workspace, *graph.Graph, int, bool) {}
 
+func debugCheckCertified(*Workspace, *graph.Graph, int) {}
+
 func debugCheckPartition(*graph.Graph, bitvec.Vector, int, bool) {}

@@ -15,7 +15,8 @@ import (
 // triangle and Horton enumerations. The reference costs what the verdict
 // cost before the engine, so the check is gated to graphs of at most
 // debugSpanLimit edges (the 2-core, for a span verdict) to keep dccdebug
-// test runs tractable.
+// test runs tractable. A span the fan certificate proves is also checked
+// by the co-tree engine, at any size.
 const debugSpanLimit = 1000
 
 // debugState is the reference's echelon, reused so that a warm Workspace
@@ -36,6 +37,18 @@ func debugCheckSpan(ws *Workspace, g *graph.Graph, tau int, got bool) {
 		panic(fmt.Sprintf("cycles debug: short-cycle span = %v, m-bit reference = %v (n=%d m=%d tau=%d)",
 			got, want, g.NumNodes(), g.NumEdges(), tau))
 	}
+}
+
+// debugCheckCertified cross-checks a span the fan certificate proved on
+// g: the co-tree engine, whatever g's size, and the reference, within its
+// limit, must find it too. It leaves the engine's state in ws.
+func debugCheckCertified(ws *Workspace, g *graph.Graph, tau int) {
+	core := g.TwoCoreInto(&ws.core, ws.s)
+	if !ws.spansAll(core, tau) {
+		panic(fmt.Sprintf("cycles debug: fan certificate holds, co-tree engine finds no span (n=%d m=%d tau=%d)",
+			g.NumNodes(), g.NumEdges(), tau))
+	}
+	debugCheckSpan(ws, core, tau, true)
 }
 
 // debugCheckPartition cross-checks a Partitionable answer.

@@ -55,7 +55,8 @@ func fuzzTarget(g *graph.Graph, mask byte) bitvec.Vector {
 // FuzzShortSpan checks the co-tree span engine against the m-bit
 // reference on arbitrary graphs of up to 24 nodes: SpannedByShortWS on a
 // Workspace reused across inputs, and Partitionable of a derived target,
-// answer exactly as referenceSpan does.
+// answer exactly as referenceSpan does. The fan certificate is checked on
+// its own too: every graph it certifies, the reference finds spanned.
 func FuzzShortSpan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0x03, 0xff, 0xff})
@@ -64,8 +65,12 @@ func FuzzShortSpan(f *testing.F) {
 	ech, s := bitvec.NewEchelon(0), graph.NewScratch(nil)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, tau := fuzzGraph(data)
-		if got, want := SpannedByShortWS(g, tau, ws), referenceSpan(g, tau, ech, s); got != want {
+		want := referenceSpan(g, tau, ech, s)
+		if got := SpannedByShortWS(g, tau, ws); got != want {
 			t.Fatalf("n=%d m=%d tau=%d: SpannedByShortWS = %v, reference %v", g.NumNodes(), g.NumEdges(), tau, got, want)
+		}
+		if g.FanCertified(s, tau) && !want {
+			t.Fatalf("n=%d m=%d tau=%d: fan certificate holds, reference finds no span", g.NumNodes(), g.NumEdges(), tau)
 		}
 		var mask byte
 		if len(data) > 2 {

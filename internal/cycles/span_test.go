@@ -218,6 +218,42 @@ func TestUnspannedCycle(t *testing.T) {
 	t.Logf("%d unspanned verdicts (%d with a residue echelon) yield unspanned cycles", unspanned, residues)
 }
 
+// TestCertifiedVerdictState checks what a certified verdict leaves in the
+// Workspace: after a refutation that reached the residue echelon, a
+// verdict the fan certificate decides reports Certified, an empty residue
+// echelon and no unspanned cycle, so nothing of the refuting run reads as
+// its state; the next verdict the engine decides reports it did.
+func TestCertifiedVerdictState(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	ws := NewWorkspace()
+	var refuted *graph.Graph
+	refutedTau := 0
+	for i := 0; i < 40 && refuted == nil; i++ {
+		g := udgPatch(r, 60, 8)
+		for tau := 3; tau <= 6; tau++ {
+			if !SpannedByShortWS(g, tau, ws) && ws.ech.Rank() > 0 {
+				refuted, refutedTau = g, tau
+				break
+			}
+		}
+	}
+	if refuted == nil {
+		t.Fatal("no refutation reached the residue echelon; the test has nothing to clear")
+	}
+	if ws.Certified() || ws.UnspannedCycle() == nil {
+		t.Fatal("a refutation reads as certified or has no unspanned cycle")
+	}
+	if !SpannedByShortWS(graph.TriangulatedGrid(6, 6), 3, ws) || !ws.Certified() {
+		t.Fatal("the triangulated grid at tau=3 is not certified")
+	}
+	if rank, cyc := ws.ech.Rank(), ws.UnspannedCycle(); rank != 0 || cyc != nil {
+		t.Fatalf("after a certified verdict: residue rank %d, UnspannedCycle %v; want 0 and nil", rank, cyc)
+	}
+	if SpannedByShortWS(refuted, refutedTau, ws) || ws.Certified() {
+		t.Fatal("the refuted graph again: spanned, or reported as certified")
+	}
+}
+
 // TestUnspannedCycleResidueColumn drives the other witness branch by hand:
 // on the 3×3 grid (ν = 4) three weight-3 images label all four classes in
 // the residue echelon at rank 3, so the witness must come from the label

@@ -7,14 +7,15 @@ import (
 	"dcc/internal/graph"
 )
 
-// Workspace holds reusable state for repeated short-span tests: the 2-core
-// under test with the graph scratch of its peel, co-tree numbering and
-// Horton search, and the span engine — the co-tree map, the union-find
-// quotient, the arena of deferred candidates and the residue echelon (with
-// its recycled row storage) — plus the node list UnspannedCycle returns. A
-// warm Workspace makes SpannedByShortWS and UnspannedCycle allocation-free
-// across the thousands of deletability evaluations a scheduling run
-// performs; it is NOT safe for concurrent use — give each worker its own.
+// Workspace holds reusable state for repeated short-span tests: the graph
+// scratch of the fan certificate, the 2-core peel, co-tree numbering and
+// Horton search, the 2-core under test, and the span engine — the co-tree
+// map, the union-find quotient, the arena of deferred candidates and the
+// residue echelon (with its recycled row storage) — plus the node list
+// UnspannedCycle returns. A warm Workspace makes SpannedByShortWS and
+// UnspannedCycle allocation-free across the thousands of deletability
+// evaluations a scheduling run performs; it is NOT safe for concurrent
+// use — give each worker its own.
 //
 // The engine works in co-tree coordinates (Graph.CoTreeInto), where the
 // cycle space is GF(2)^ν. Its span is kept as a partition of the ν
@@ -32,6 +33,8 @@ type Workspace struct {
 	s    *graph.Scratch
 	core graph.GraphBuf // the 2-core under test, valid until the next test
 	g    *graph.Graph   // the graph spansAll last ran on
+
+	certified bool // the fan certificate decided the last SpannedByShortWS
 
 	cot  []int32 // edge → co-tree coordinate, −1 on the spanning forest
 	nu   int     // cycle-space dimension; also the zero element's index
@@ -56,7 +59,19 @@ func NewWorkspace() *Workspace {
 // same verdict, allocation-free once ws is warm. This is the form the
 // incremental deletability engine (internal/vpt Cache) calls per
 // candidate.
+//
+// The fan certificate (Graph.FanCertified) goes first: when it holds, g
+// is spanned and no cycle is enumerated. Only when it declines does the
+// span engine run, so the engine decides every "not spanned" verdict and
+// the few "spanned" ones the certificate misses.
 func SpannedByShortWS(g *graph.Graph, tau int, ws *Workspace) bool {
+	if g.FanCertified(ws.s, tau) {
+		debugCheckCertified(ws, g, tau) // no-op unless built with -tags dccdebug
+		// Nothing the engine left in ws describes g.
+		ws.certified = true
+		ws.ech.Reset(0)
+		return true
+	}
 	// Trees carry no cycles; restricting to the 2-core preserves the cycle
 	// space while shrinking the candidate generation work.
 	core := g.TwoCoreInto(&ws.core, ws.s)
@@ -64,6 +79,10 @@ func SpannedByShortWS(g *graph.Graph, tau int, ws *Workspace) bool {
 	debugCheckSpan(ws, core, tau, ok) // no-op unless built with -tags dccdebug
 	return ok
 }
+
+// Certified reports whether the fan certificate, not the span engine,
+// decided the last SpannedByShortWS on ws.
+func (ws *Workspace) Certified() bool { return ws.certified }
 
 // spansAll builds the span of g's cycles of length ≤ tau in ws and reports
 // whether it is g's entire cycle space. Triangles go in first, straight
@@ -106,6 +125,7 @@ func (ws *Workspace) spansAll(g *graph.Graph, tau int) bool {
 // nothing deferred and an empty residue echelon.
 func (ws *Workspace) reset(g *graph.Graph) {
 	ws.g = g
+	ws.certified = false
 	m := g.NumEdges()
 	if cap(ws.cot) < m {
 		ws.cot = make([]int32, m)
@@ -276,9 +296,9 @@ func (ws *Workspace) label(r int32) int {
 
 // UnspannedCycle returns the nodes, in cycle order, of a cycle of the
 // graph SpannedByShortWS last tested on ws (its 2-core) that the cycles of
-// length ≤ τ do not span, or nil when they span everything. Call it only
-// right after a SpannedByShortWS that returned false; the slice lives in
-// ws until its next use.
+// length ≤ τ do not span, or nil when they span everything — always after
+// a certified verdict. Call it only right after a SpannedByShortWS that
+// returned false; the slice lives in ws until its next use.
 //
 // The cycle is the fundamental cycle, in the co-tree's spanning forest, of
 // the first co-tree coordinate c whose unit vector lies outside the span:
@@ -290,6 +310,9 @@ func (ws *Workspace) label(r int32) int {
 // every class other than zero's had a label and every label were a pivot,
 // the echelon's rank would cover all of them.
 func (ws *Workspace) UnspannedCycle() []graph.NodeID {
+	if ws.certified {
+		return nil
+	}
 	zero := int32(ws.nu)
 	for e, c := range ws.cot {
 		if c < 0 {

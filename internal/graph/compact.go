@@ -32,6 +32,10 @@ type Scratch struct {
 	// the candidate edge list of the Horton enumeration.
 	depth, parent, parentEdge []int32
 	path                      []int32
+	// The fan certificate's vertex positions, adjacency rows and working
+	// sets (FanCertified).
+	pos []int32
+	fan []uint64
 }
 
 // NewScratch returns a Scratch pre-sized for graphs up to g's order. A nil

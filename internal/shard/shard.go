@@ -17,6 +17,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dcc/internal/core"
 	"dcc/internal/geom"
@@ -50,9 +51,9 @@ type Options struct {
 type Input struct {
 	// Points holds the node positions; node i sits at Points[i].
 	Points []geom.Point
-	// Rc is the communication range, which must be positive. With G nil
-	// it defines the links; with G set, G's links are scheduled as given,
-	// whatever their length.
+	// Rc is the communication range, which must be finite and positive.
+	// With G nil it defines the links; with G set, G's links are scheduled
+	// as given, whatever their length.
 	Rc float64
 	// Boundary flags the undeletable frame nodes (len(Boundary) ==
 	// len(Points)).
@@ -127,8 +128,8 @@ func validate(in Input, opts Options) error {
 	if n == 0 {
 		return errors.New("shard: empty deployment")
 	}
-	if in.Rc <= 0 {
-		return fmt.Errorf("shard: non-positive Rc %v", in.Rc)
+	if !(in.Rc > 0) || math.IsInf(in.Rc, 1) {
+		return fmt.Errorf("shard: Rc %v is not finite and positive", in.Rc)
 	}
 	if len(in.Boundary) != n {
 		return fmt.Errorf("shard: %d boundary flags for %d nodes", len(in.Boundary), n)

@@ -124,6 +124,9 @@ func TestScheduleValidation(t *testing.T) {
 	}{
 		{"empty", Input{Rc: 1}, Options{Tau: 3}, "empty"},
 		{"rc", Input{Points: good.Points, Boundary: good.Boundary}, Options{Tau: 3}, "Rc"},
+		{"rcNaN", Input{Points: good.Points, Rc: math.NaN(), Boundary: good.Boundary}, Options{Tau: 3}, "Rc"},
+		{"rcPosInf", Input{Points: good.Points, Rc: math.Inf(1), Boundary: good.Boundary}, Options{Tau: 3}, "Rc"},
+		{"rcNegInf", Input{Points: good.Points, Rc: math.Inf(-1), Boundary: good.Boundary}, Options{Tau: 3}, "Rc"},
 		{"boundaryLen", Input{Points: good.Points, Rc: 1.3, Boundary: good.Boundary[1:]}, Options{Tau: 3}, "boundary flags"},
 		{"tau", good, Options{Tau: 2}, "confine size"},
 	}

@@ -72,6 +72,7 @@ type Cache struct {
 	// of core's parallel engine, and the Commit/Restore dirty sets are a
 	// pure function of the deletion history.
 	telLookups, telComputes, telInvalidated, telKept *telemetry.Counter
+	telCertified                                     *telemetry.Counter
 	telRefuted                                       [NumRefutations]*telemetry.Counter
 	telDirty                                         *telemetry.Hist
 }
@@ -82,10 +83,10 @@ type Cache struct {
 var dirtyBallBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // Instrument attaches the cache to reg: the vpt.lookups, vpt.computes,
-// vpt.invalidated and vpt.kept counters, one vpt.refuted_<kind> counter
-// per Refutation, and the vpt.dirty_ball histogram of Commit/Restore
-// dirty-set sizes. A nil reg leaves the cache uninstrumented (all handles
-// stay nil-safe no-ops).
+// vpt.invalidated, vpt.kept and vpt.certified counters, one
+// vpt.refuted_<kind> counter per Refutation, and the vpt.dirty_ball
+// histogram of Commit/Restore dirty-set sizes. A nil reg leaves the cache
+// uninstrumented (all handles stay nil-safe no-ops).
 func (c *Cache) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -94,6 +95,7 @@ func (c *Cache) Instrument(reg *telemetry.Registry) {
 	c.telComputes = reg.Counter("vpt.computes")
 	c.telInvalidated = reg.Counter("vpt.invalidated")
 	c.telKept = reg.Counter("vpt.kept")
+	c.telCertified = reg.Counter("vpt.certified")
 	for k, name := range refutationNames {
 		c.telRefuted[k] = reg.Counter("vpt.refuted_" + name)
 	}
@@ -113,6 +115,10 @@ type CacheStats struct {
 	// Kept counts the cached "no" verdicts of Commit/Remove dirty sets that
 	// stayed cached because no removed node may belong to their witness.
 	Kept int
+	// Certified counts the "deletable" verdicts Deletable computed that
+	// the fan certificate decided, without the span engine
+	// (cycles.Workspace.Certified).
+	Certified int
 	// Refuted splits the "no" verdicts Deletable computed by the
 	// Refutation that decided them.
 	Refuted [NumRefutations]int
@@ -180,9 +186,13 @@ func (c *Cache) Deletable(v graph.NodeID) bool {
 		c.verdict[i] = x
 		c.stats.Computes++
 		c.telComputes.Inc()
-		if !x.Deletable() {
+		switch {
+		case !x.Deletable():
 			c.stats.Refuted[c.tester.kind]++
 			c.telRefuted[c.tester.kind].Inc()
+		case c.tester.ws.Certified():
+			c.stats.Certified++
+			c.telCertified.Inc()
 		}
 	}
 	return c.verdict[i].Deletable()

@@ -485,3 +485,30 @@ func TestVerdictAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestCertifiedShare pins the fan certificate's traffic: on a dense
+// unit-disk graph (300 nodes at average degree 18) deleted greedily at
+// τ = 3…6, the certificate decides at least 90 % of the "deletable"
+// verdicts the cache computes, so a change that turns the fast path off
+// fails here and not only in the benchmark.
+func TestCertifiedShare(t *testing.T) {
+	pts := geom.UniformPoints(rand.New(rand.NewSource(21)), 300, geom.Square(10))
+	g := geom.UDG(pts, geom.RcForAvgDegree(300, 100, 18))
+	for tau := 3; tau <= 6; tau++ {
+		c := NewCache(g, tau)
+		for _, v := range g.Nodes() {
+			if c.Deletable(v) {
+				c.Commit([]graph.NodeID{v})
+			}
+		}
+		st := c.Stats()
+		deletable := st.Computes
+		for _, n := range st.Refuted {
+			deletable -= n
+		}
+		if deletable == 0 || st.Certified*10 < deletable*9 {
+			t.Fatalf("tau=%d: the certificate decided %d of %d deletable verdicts, want at least 90 %%", tau, st.Certified, deletable)
+		}
+		t.Logf("tau=%d: certified %d of %d deletable verdicts (%d computes)", tau, st.Certified, deletable, st.Computes)
+	}
+}
