@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"dcc/internal/bitvec"
@@ -393,28 +392,25 @@ var kitPool = sync.Pool{New: func() any {
 	return &testKit{s: graph.NewScratch(nil), t: vpt.NewTester()}
 }}
 
-// cachedVerdicts evaluates the deletability of toTest. A node the cache
-// still holds a verdict for (a "no" whose witness the last Commit missed)
-// is answered from it; the misses are tested inline on the cache's own
-// scratch when they are few, and otherwise fan out in fixed-size chunks on
-// the deterministic pool, each chunk with pooled per-worker scratch. The
-// fanned-out verdicts, witnesses included, are published after the join
+// cacheVerdicts leaves a clean cached verdict, witness included, for every
+// node of toTest. A node the cache still holds a verdict for (a "no" whose
+// witness the last Commit missed) keeps it; the misses are tested inline on
+// the cache's own scratch when they are few, and otherwise fan out in
+// fixed-size chunks on the deterministic pool, each chunk with pooled
+// per-worker scratch. The fanned-out verdicts are published after the join
 // (workers never touch shared state).
-func cachedVerdicts(cache *vpt.Cache, toTest []graph.NodeID, workers int) []bool {
-	out := make([]bool, len(toTest))
-	var miss []int // indices into toTest
-	for i, v := range toTest {
-		if x, ok := cache.Cached(v); ok {
-			out[i] = x.Deletable()
-		} else {
-			miss = append(miss, i)
+func cacheVerdicts(cache *vpt.Cache, toTest []graph.NodeID, workers int) {
+	var miss []graph.NodeID
+	for _, v := range toTest {
+		if _, ok := cache.Cached(v); !ok {
+			miss = append(miss, v)
 		}
 	}
 	if len(miss) <= testChunk {
-		for _, i := range miss {
-			out[i] = cache.Deletable(toTest[i])
+		for _, v := range miss {
+			cache.Deletable(v)
 		}
-		return out
+		return
 	}
 	nchunks := (len(miss) + testChunk - 1) / testChunk
 	// Deletability of distinct vertices is independent given a fixed live
@@ -428,20 +424,17 @@ func cachedVerdicts(cache *vpt.Cache, toTest []graph.NodeID, workers int) []bool
 		vals := make([]vpt.Verdict, hi-lo)
 		for j := lo; j < hi; j++ {
 			//lint:ignore barrier ComputeFresh is read-only by the Cache contract (no memo access, caller-owned scratch); verdicts are published via StoreVerdict after the join
-			vals[j-lo] = cache.ComputeFresh(toTest[miss[j]], kit.s, kit.t)
+			vals[j-lo] = cache.ComputeFresh(miss[j], kit.s, kit.t)
 		}
 		return vals, nil
 	})
 	j := 0
 	for _, ch := range chunks {
 		for _, x := range ch {
-			i := miss[j]
-			cache.StoreVerdict(toTest[i], x)
-			out[i] = x.Deletable()
+			cache.StoreVerdict(miss[j], x)
 			j++
 		}
 	}
-	return out
 }
 
 func scheduleParallel(net Network, opts Options) (Result, error) {
@@ -452,36 +445,23 @@ func scheduleParallel(net Network, opts Options) (Result, error) {
 	m := vpt.IndependenceRadius(opts.Tau)
 	scratch := graph.NewScratch(net.G)
 
-	// dirty marks nodes whose neighbourhood changed since their last test;
-	// everything starts dirty. Clean nodes previously tested not-deletable
-	// stay not-deletable until a neighbour within k hops disappears.
-	dirty := make(map[graph.NodeID]bool)
-	for _, v := range net.InternalNodes() {
-		dirty[v] = true
-	}
-	deletable := make(map[graph.NodeID]bool)
-
+	// The cache is the record of verdicts. Each round re-tests the internal
+	// nodes the last Commit returned (every internal node at the start),
+	// in increasing ID order, and reads the candidates among them from the
+	// cache. No other node can be one: a candidate the last round did not
+	// select was blocked within m−1 = k hops of a selected node, so Commit
+	// returned it, and every node Commit did not return keeps the "no" it
+	// had.
+	toTest := net.InternalNodes()
 	var deleted []graph.NodeID
 	var stats Stats
 	for {
-		// Retest dirty internal nodes concurrently.
-		var toTest []graph.NodeID
-		for v := range dirty {
-			if cache.Alive(v) {
-				toTest = append(toTest, v)
-			}
-		}
-		sort.Slice(toTest, func(i, j int) bool { return toTest[i] < toTest[j] })
-		verdicts := cachedVerdicts(cache, toTest, opts.Workers)
+		cacheVerdicts(cache, toTest, opts.Workers)
 		stats.Tests += len(toTest)
-		for i, v := range toTest {
-			deletable[v] = verdicts[i]
-			delete(dirty, v)
-		}
 
 		var candidates []graph.NodeID
-		for _, v := range cache.LiveNodes() {
-			if deletable[v] && !net.Boundary[v] {
+		for _, v := range toTest {
+			if x, ok := cache.Cached(v); ok && x.Deletable() {
 				candidates = append(candidates, v)
 			}
 		}
@@ -511,14 +491,11 @@ func scheduleParallel(net Network, opts Options) (Result, error) {
 
 		// Delete the independent set simultaneously; Commit dirties every
 		// survivor within k hops of a deleted node.
-		affected := cache.Commit(selected)
 		deleted = append(deleted, selected...)
-		for _, v := range selected {
-			delete(deletable, v)
-		}
-		for _, w := range affected {
+		toTest = toTest[:0]
+		for _, w := range cache.Commit(selected) {
 			if !net.Boundary[w] {
-				dirty[w] = true
+				toTest = append(toTest, w)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"dcc/internal/graph"
 	"dcc/internal/runner"
+	"dcc/internal/telemetry"
 	"dcc/internal/vpt"
 )
 
@@ -171,7 +172,10 @@ func TestSequentialMatchesReference(t *testing.T) {
 }
 
 // TestParallelMatchesReference: same for the MIS round engine, across
-// worker counts (the reference is itself worker-count invariant).
+// worker counts (the reference is itself worker-count invariant). The
+// 16×16 input runs for many rounds, so the cache, the engine's only record
+// of its verdicts, must carry refuted verdicts kept by their witnesses from
+// round to round.
 func TestParallelMatchesReference(t *testing.T) {
 	for _, tau := range []int{3, 5} {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -184,6 +188,22 @@ func TestParallelMatchesReference(t *testing.T) {
 				}
 				compareResults(t, "parallel", got, want)
 			}
+		}
+	}
+	net := denseNet(t, 3, 16, 16, 2.2)
+	for _, tau := range []int{4, 6} {
+		for seed := int64(1); seed <= 2; seed++ {
+			want := referenceParallel(net, Options{Tau: tau, Seed: seed, Workers: 1})
+			reg := telemetry.New()
+			got, err := Schedule(net, Options{Tau: tau, Seed: seed, Mode: Parallel, Workers: 2, Telemetry: reg})
+			if err != nil {
+				t.Fatalf("16x16 tau=%d seed=%d: %v", tau, seed, err)
+			}
+			compareResults(t, "parallel 16x16", got, want)
+			if kept := reg.Counter("vpt.kept").Value(); got.Stats.Rounds < 10 || kept == 0 {
+				t.Fatalf("16x16 tau=%d seed=%d: %d rounds and %d verdicts kept by witness, want at least 10 and 1", tau, seed, got.Stats.Rounds, kept)
+			}
+			t.Logf("16x16 tau=%d seed=%d: %d rounds, %d tests, %d verdicts kept by witness", tau, seed, got.Stats.Rounds, got.Stats.Tests, reg.Counter("vpt.kept").Value())
 		}
 	}
 }

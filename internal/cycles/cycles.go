@@ -110,16 +110,6 @@ func Sum(m int, cs ...Cycle) bitvec.Vector {
 	return v
 }
 
-// FromVector converts an incidence vector back to a Cycle (edge set).
-func FromVector(v bitvec.Vector) Cycle {
-	idx := v.Indices()
-	es := make([]int32, len(idx))
-	for i, e := range idx {
-		es[i] = int32(e)
-	}
-	return Cycle{edges: es}
-}
-
 // VertexOrder returns the vertices of a simple cycle in traversal order, or
 // an error if the edge set is not a single simple cycle in g.
 func VertexOrder(g *graph.Graph, c Cycle) ([]graph.NodeID, error) {

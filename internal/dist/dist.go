@@ -56,11 +56,6 @@ type Config struct {
 	Reliability Reliability
 	// MaxSuperRounds bounds the deletion iterations (0 = number of nodes).
 	MaxSuperRounds int
-	// CrashNodes fail silently (fail-stop) at the start of super-round
-	// CrashAtSuperRound (1-based; 0 disables). The pair is the legacy
-	// single-event schedule; it is merged into Faults at startup.
-	CrashNodes        []graph.NodeID
-	CrashAtSuperRound int
 	// Faults optionally schedules structured fault injection: per-node
 	// crash and crash-recover times, Gilbert–Elliott bursty link loss,
 	// and timed partition/heal events, all reproducible from the plan.
@@ -144,14 +139,6 @@ func Run(net core.Network, cfg Config) (Result, error) {
 	}
 	if cfg.Reliability != ReliabilityNone && cfg.Reliability != AckFloods {
 		return Result{}, fmt.Errorf("dist: unknown reliability mode %d", cfg.Reliability)
-	}
-	if cfg.CrashAtSuperRound < 0 {
-		return Result{}, fmt.Errorf("dist: crash super-round %d < 0", cfg.CrashAtSuperRound)
-	}
-	for _, v := range cfg.CrashNodes {
-		if !net.G.HasNode(v) {
-			return Result{}, fmt.Errorf("dist: crash node %d not in network", v)
-		}
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.validate(net.G, cfg.Loss); err != nil {
@@ -237,22 +224,8 @@ func newRuntime(net core.Network, cfg Config) *runtime {
 	for _, v := range net.G.Nodes() {
 		r.views[v] = newLocalView(v, net.G.Neighbors(v))
 	}
-	plan := FaultPlan{}
-	if cfg.Faults != nil {
-		plan = *cfg.Faults
-	}
-	if cfg.CrashAtSuperRound > 0 && len(cfg.CrashNodes) > 0 {
-		// Merge the legacy single-event schedule into the plan without
-		// mutating the caller's slice.
-		crashes := make([]CrashEvent, 0, len(plan.Crashes)+len(cfg.CrashNodes))
-		crashes = append(crashes, plan.Crashes...)
-		for _, v := range cfg.CrashNodes {
-			crashes = append(crashes, CrashEvent{Node: v, At: cfg.CrashAtSuperRound})
-		}
-		plan.Crashes = crashes
-	}
-	if len(plan.Crashes) > 0 || plan.Bursty != nil || len(plan.Partitions) > 0 {
-		r.faults = newFaultState(plan, net.G)
+	if p := cfg.Faults; p != nil && (len(p.Crashes) > 0 || p.Bursty != nil || len(p.Partitions) > 0) {
+		r.faults = newFaultState(*p, net.G)
 	}
 	if cfg.Reliability == AckFloods {
 		r.rel = newReliableState()

@@ -181,12 +181,11 @@ func TestRunWithMessageLossTerminates(t *testing.T) {
 func TestRunWithCrashesTerminates(t *testing.T) {
 	net := testNet(t, 67, 7, 7, 1.9)
 	crash := []graph.NodeID{16, 17, 24}
-	res, err := Run(net, Config{
-		Tau:               4,
-		Seed:              47,
-		CrashNodes:        crash,
-		CrashAtSuperRound: 1,
-	})
+	plan := &FaultPlan{}
+	for _, v := range crash {
+		plan.Crashes = append(plan.Crashes, CrashEvent{Node: v, At: 1})
+	}
+	res, err := Run(net, Config{Tau: 4, Seed: 47, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,20 +200,12 @@ func TestRunWithCrashesTerminates(t *testing.T) {
 }
 
 func TestRunRejectsUnknownCrashNode(t *testing.T) {
-	// Regression: unknown CrashNodes IDs used to be silently ignored — the
+	// Regression: unknown crash node IDs used to be silently ignored — the
 	// crash simply never happened and the run looked healthy.
 	net := testNet(t, 60, 5, 5, 1.9)
-	_, err := Run(net, Config{Tau: 3, CrashNodes: []graph.NodeID{9999}, CrashAtSuperRound: 1})
-	if err == nil {
-		t.Fatal("unknown crash node accepted")
-	}
-	if !strings.Contains(err.Error(), "9999") {
-		t.Fatalf("error does not name the offending node: %v", err)
-	}
-	// The same validation applies to structured fault plans.
-	_, err = Run(net, Config{Tau: 3, Faults: &FaultPlan{Crashes: []CrashEvent{{Node: 555, At: 1}}}})
+	_, err := Run(net, Config{Tau: 3, Faults: &FaultPlan{Crashes: []CrashEvent{{Node: 555, At: 1}}}})
 	if err == nil || !strings.Contains(err.Error(), "555") {
-		t.Fatalf("fault plan with unknown node accepted: %v", err)
+		t.Fatalf("fault plan with unknown node accepted, or error does not name it: %v", err)
 	}
 }
 
@@ -554,24 +545,6 @@ func TestGilbertElliottBurstyLoss(t *testing.T) {
 	}
 	if !ok {
 		t.Fatal("bursty-loss run broke the criterion")
-	}
-}
-
-func TestLegacyCrashConfigStillWorks(t *testing.T) {
-	// The legacy CrashNodes/CrashAtSuperRound pair must keep working and
-	// must not mutate the caller's slice when merged into the fault plan.
-	net := testNet(t, 67, 7, 7, 1.9)
-	crash := []graph.NodeID{16, 17, 24}
-	orig := append([]graph.NodeID(nil), crash...)
-	res, err := Run(net, Config{Tau: 4, Seed: 47, CrashNodes: crash, CrashAtSuperRound: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Crashed) != len(crash) {
-		t.Fatalf("crashed = %v, want %v", res.Crashed, crash)
-	}
-	if !reflect.DeepEqual(crash, orig) {
-		t.Fatalf("Run mutated the caller's CrashNodes slice: %v", crash)
 	}
 }
 

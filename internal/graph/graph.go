@@ -364,21 +364,6 @@ func (t *BFSTree) Parent(v NodeID) (NodeID, bool) {
 	return t.g.ids[t.parent[i]], true
 }
 
-// PathToRoot returns the node sequence v, parent(v), ..., root. Returns nil
-// if v is unreachable.
-func (t *BFSTree) PathToRoot(v NodeID) []NodeID {
-	i, ok := t.g.index(v)
-	if !ok || t.depth[i] < 0 {
-		return nil
-	}
-	path := make([]NodeID, 0, t.depth[i]+1)
-	for i >= 0 {
-		path = append(path, t.g.ids[i])
-		i = int(t.parent[i])
-	}
-	return path
-}
-
 // LCA returns the lowest common ancestor of u and v in the tree, or false if
 // either is unreachable.
 func (t *BFSTree) LCA(u, v NodeID) (NodeID, bool) {
@@ -736,13 +721,4 @@ func (g *Graph) AnyPairWithin(terminals []NodeID, maxHops int, s *Scratch) bool 
 	}
 	s.queue = queue[:0]
 	return found
-}
-
-// ShortestPathLen returns the hop distance between u and v, or -1 if
-// disconnected.
-func (g *Graph) ShortestPathLen(u, v NodeID) int {
-	if !g.HasNode(u) || !g.HasNode(v) {
-		return -1
-	}
-	return g.BFS(u, -1).Depth(v)
 }

@@ -244,12 +244,10 @@ func TestBFSDepths(t *testing.T) {
 	if _, ok := tree.Parent(0); ok {
 		t.Fatal("root has a parent")
 	}
-	p, ok := tree.Parent(3)
-	if !ok || p != 2 {
-		t.Fatalf("Parent(3) = %d,%v want 2", p, ok)
-	}
-	if path := tree.PathToRoot(4); !reflect.DeepEqual(path, []NodeID{4, 3, 2, 1, 0}) {
-		t.Fatalf("PathToRoot(4) = %v", path)
+	for i := 1; i < 5; i++ {
+		if p, ok := tree.Parent(NodeID(i)); !ok || p != NodeID(i-1) {
+			t.Fatalf("Parent(%d) = %d,%v want %d", i, p, ok, i-1)
+		}
 	}
 }
 
@@ -273,8 +271,8 @@ func TestBFSDisconnected(t *testing.T) {
 	if tree.Depth(5) != -1 {
 		t.Fatal("unreachable node has non-negative depth")
 	}
-	if tree.PathToRoot(5) != nil {
-		t.Fatal("PathToRoot of unreachable node not nil")
+	if _, ok := tree.Parent(5); ok {
+		t.Fatal("unreachable node has a parent")
 	}
 }
 
@@ -524,20 +522,6 @@ func TestCoTreeInto(t *testing.T) {
 	}
 	if nu := (&Graph{}).CoTreeInto(s, nil); nu != 0 {
 		t.Fatalf("empty graph: ν = %d, want 0", nu)
-	}
-}
-
-func TestShortestPathLen(t *testing.T) {
-	g := Grid(3, 4)
-	if d := g.ShortestPathLen(0, 11); d != 5 {
-		t.Fatalf("d(0,11) = %d, want 5", d)
-	}
-	if d := g.ShortestPathLen(0, 0); d != 0 {
-		t.Fatalf("d(0,0) = %d, want 0", d)
-	}
-	h, _ := FromEdges([]Edge{{0, 1}}, 5)
-	if d := h.ShortestPathLen(0, 5); d != -1 {
-		t.Fatalf("disconnected distance = %d, want -1", d)
 	}
 }
 

@@ -82,38 +82,6 @@ func (d *DeleteView) LiveNodes() []NodeID {
 	return out
 }
 
-// LiveNeighbors returns the live neighbours of v in increasing ID order
-// (fresh copy), nil if v is dead or absent.
-func (d *DeleteView) LiveNeighbors(v NodeID) []NodeID {
-	i, ok := d.g.index(v)
-	if !ok || d.gone[i] {
-		return nil
-	}
-	out := make([]NodeID, 0, len(d.g.adj[i]))
-	for _, w := range d.g.adj[i] {
-		if !d.gone[w] {
-			out = append(out, d.g.ids[w])
-		}
-	}
-	return out
-}
-
-// LiveDegree returns the number of live neighbours of v (0 if dead or
-// absent).
-func (d *DeleteView) LiveDegree(v NodeID) int {
-	i, ok := d.g.index(v)
-	if !ok || d.gone[i] {
-		return 0
-	}
-	n := 0
-	for _, w := range d.g.adj[i] {
-		if !d.gone[w] {
-			n++
-		}
-	}
-	return n
-}
-
 // ballIdx runs a depth-bounded BFS from base index vi over live vertices
 // and returns the visited base indices excluding vi, sorted ascending. The
 // result aliases s.ball and is valid until the next use of s.

@@ -135,7 +135,7 @@ func validate(in Input, opts Options) error {
 		return fmt.Errorf("shard: %d boundary flags for %d nodes", len(in.Boundary), n)
 	}
 	if opts.Tau < 3 {
-		return fmt.Errorf("shard: confine size %d < 3", opts.Tau)
+		return fmt.Errorf("shard: tau %d: %w", opts.Tau, core.ErrTauTooSmall)
 	}
 	if in.G != nil {
 		if got := in.G.NumNodes(); got != n {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -135,6 +136,9 @@ func TestScheduleValidation(t *testing.T) {
 			_, _, err := Schedule(tc.in, tc.opts)
 			if err == nil || !strings.Contains(err.Error(), tc.frag) {
 				t.Fatalf("error %v, want fragment %q", err, tc.frag)
+			}
+			if tooSmall := tc.opts.Tau < 3; errors.Is(err, core.ErrTauTooSmall) != tooSmall {
+				t.Fatalf("error %v: errors.Is(err, core.ErrTauTooSmall) = %v, want %v", err, !tooSmall, tooSmall)
 			}
 		})
 	}

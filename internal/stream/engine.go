@@ -33,19 +33,6 @@ type Config struct {
 	// Positions carries genesis coordinates, indexed by node id. Required
 	// for every genesis node when Radius > 0; optional metadata otherwise.
 	Positions map[graph.NodeID]geom.Point
-	// MaxPending bounds the backpressure queue: when the pending batch
-	// reaches this depth the engine degrades gracefully by applying the
-	// whole batch at once (one re-election instead of one per event).
-	// 0 means 256.
-	MaxPending int
-	// NoCoalesce disables mobility-tick coalescing (mostly for tests; the
-	// default last-write-wins coalescing is semantics-preserving).
-	NoCoalesce bool
-	// MemoLimit caps the verdict memo; at the cap the memo is dropped
-	// wholesale, which keeps eviction deterministic. 0 means 1<<20.
-	MemoLimit int
-	// MaxQuarantine bounds the rejected-event ring. 0 means 64.
-	MaxQuarantine int
 	// WAL, when non-nil, receives the write-ahead log: a header record at
 	// genesis, then every admitted event, framed and checksummed
 	// (trace.AppendRecord) before it is applied.
@@ -67,9 +54,15 @@ type Config struct {
 type walSyncer interface{ Sync() error }
 
 const (
-	defaultMaxPending    = 256
-	defaultMemoLimit     = 1 << 20
-	defaultMaxQuarantine = 64
+	// maxPending bounds the backpressure queue: when the pending batch
+	// reaches this depth the engine applies the whole batch at once (one
+	// re-election instead of one per event).
+	maxPending = 256
+	// memoLimit caps the verdict memo; at the cap the memo is dropped
+	// wholesale, which keeps eviction deterministic.
+	memoLimit = 1 << 20
+	// maxQuarantine bounds the rejected-event ring.
+	maxQuarantine = 64
 )
 
 // Stats counts the engine's work since construction (or recovery).
@@ -90,7 +83,7 @@ type Stats struct {
 	Tests       int // deletability verdicts requested by the canonical loop
 	MemoHits    int // verdicts served by the neighborhood-fingerprint memo
 	MemoMisses  int
-	MemoResets  int // wholesale memo drops at MemoLimit
+	MemoResets  int // wholesale memo drops at the memo's size cap
 	WitnessHits int // re-tests of refuted nodes the election's cache answered
 	ReplayHits  int // tests that replayed the last election's verdict: Tests = MemoHits + MemoMisses + WitnessHits + ReplayHits
 
@@ -136,9 +129,8 @@ type Engine struct {
 	watermark uint64 // highest admitted sequence number
 	pending   []Event
 
-	memo      map[memoKey]vpt.Verdict
-	memoLimit int
-	replay    core.Replay // the last election's trace, and what changed since
+	memo   map[memoKey]vpt.Verdict
+	replay core.Replay // the last election's trace, and what changed since
 
 	cover      []graph.NodeID // live internal nodes after the last election
 	coverStale bool
@@ -240,19 +232,10 @@ func New(net core.Network, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	if cfg.Tau < 3 {
-		return nil, fmt.Errorf("stream: tau %d below minimum 3", cfg.Tau)
+		return nil, fmt.Errorf("stream: tau %d: %w", cfg.Tau, core.ErrTauTooSmall)
 	}
 	if cfg.Radius < 0 || !finite(cfg.Radius) {
 		return nil, fmt.Errorf("stream: invalid radius %v", cfg.Radius)
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = defaultMaxPending
-	}
-	if cfg.MemoLimit <= 0 {
-		cfg.MemoLimit = defaultMemoLimit
-	}
-	if cfg.MaxQuarantine <= 0 {
-		cfg.MaxQuarantine = defaultMaxQuarantine
 	}
 
 	nodes := net.G.Nodes()
@@ -269,14 +252,13 @@ func New(net core.Network, cfg Config) (*Engine, error) {
 	}
 
 	e := &Engine{
-		tau:       cfg.Tau,
-		k:         vpt.NeighborhoodRadius(cfg.Tau),
-		seed:      cfg.Seed,
-		cfg:       cfg,
-		memo:      make(map[memoKey]vpt.Verdict),
-		memoLimit: cfg.MemoLimit,
-		tester:    vpt.NewTester(),
-		encBuf:    make([]byte, 0, maxEventRecordLen),
+		tau:    cfg.Tau,
+		k:      vpt.NeighborhoodRadius(cfg.Tau),
+		seed:   cfg.Seed,
+		cfg:    cfg,
+		memo:   make(map[memoKey]vpt.Verdict),
+		tester: vpt.NewTester(),
+		encBuf: make([]byte, 0, maxEventRecordLen),
 	}
 	if cfg.Telemetry != nil {
 		e.tel = cfg.Telemetry
@@ -355,10 +337,10 @@ func (e *Engine) checkImmutable(ev Event) error {
 	return nil
 }
 
-// reject quarantines ev, keeping the most recent MaxQuarantine rejections.
+// reject quarantines ev, keeping the most recent maxQuarantine rejections.
 func (e *Engine) reject(ev Event, err error) {
 	e.stats.Rejected++
-	if len(e.quarantine) == e.cfg.MaxQuarantine {
+	if len(e.quarantine) == maxQuarantine {
 		copy(e.quarantine, e.quarantine[1:])
 		e.quarantine = e.quarantine[:len(e.quarantine)-1]
 	}
@@ -465,13 +447,16 @@ func (e *Engine) applyOne(ev Event) error {
 	return nil
 }
 
-// Ingest admits ev and enqueues it for batched application. Mobility ticks
-// coalesce last-write-wins against a pending tick of the same node when no
-// later pending event references that node — a window in which replacing
-// the tick provably reaches the same final topology, because a node's
-// derived edges depend only on its latest position. When the queue reaches
-// MaxPending the whole batch is applied at once (bounded staleness: one
-// re-election amortizes the burst).
+// Ingest admits ev and enqueues it for batched application. A mobility
+// tick replaces, last-write-wins, a pending tick of the same node when
+// only moves are pending after it. That reaches the same final topology:
+// moves change no node's liveness, and a geometric move re-derives all of
+// its node's edges from current positions. Any other pending event blocks
+// it: a move derives edges only to the nodes live at the time, so applying
+// the later position before a leave would keep an edge to the departed
+// node that stepped application and WAL replay drop. When the queue
+// reaches maxPending the whole batch is applied at once (bounded
+// staleness: one re-election amortizes the burst).
 //
 // The returned error reports this event's admission verdict (nil means
 // admitted); apply-time verdicts of batched events surface through
@@ -483,21 +468,17 @@ func (e *Engine) Ingest(ev Event) error {
 	if err := e.admit(ev); err != nil {
 		return err
 	}
-	if ev.Kind == KindMove && !e.cfg.NoCoalesce {
-		for i := len(e.pending) - 1; i >= 0; i-- {
-			p := e.pending[i]
-			if p.Node == ev.Node || (p.Kind.pairwise() && p.Peer == ev.Node) {
-				if p.Kind == KindMove && p.Node == ev.Node {
-					e.pending[i] = ev
-					e.stats.Coalesced++
-					return nil
-				}
-				break
+	if ev.Kind == KindMove {
+		for i := len(e.pending) - 1; i >= 0 && e.pending[i].Kind == KindMove; i-- {
+			if e.pending[i].Node == ev.Node {
+				e.pending[i] = ev
+				e.stats.Coalesced++
+				return nil
 			}
 		}
 	}
 	e.pending = append(e.pending, ev)
-	if len(e.pending) >= e.cfg.MaxPending {
+	if len(e.pending) >= maxPending {
 		e.flush()
 	}
 	return nil
@@ -578,7 +559,7 @@ func (e *Engine) elect() {
 		e.stats.MemoMisses++
 		cache.Deletable(v)
 		x, _ := cache.Cached(v)
-		if len(e.memo) >= e.memoLimit {
+		if len(e.memo) >= memoLimit {
 			e.memo = make(map[memoKey]vpt.Verdict)
 			e.stats.MemoResets++
 		}

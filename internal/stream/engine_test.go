@@ -147,6 +147,8 @@ func TestEngineDifferentialConvergence(t *testing.T) {
 
 // TestEngineBatchedEqualsStepped: backpressure batching (with mobility
 // coalescing) and the per-event path land on identical state and cover.
+// The stream is long enough to fill the queue twice, so the batched engine
+// applies full batches at the queue cap before the final flush.
 func TestEngineBatchedEqualsStepped(t *testing.T) {
 	net, pos := testDeploy(t, 70, 6, 6, 1.6)
 	cfg := Config{Tau: 3, Seed: 5, Radius: 1.6, Positions: pos}
@@ -154,14 +156,12 @@ func TestEngineBatchedEqualsStepped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcfg := cfg
-	bcfg.MaxPending = 8
-	batched, err := New(net, bcfg)
+	batched, err := New(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := NewMutator(net, cfg, 44)
-	for i := 0; i < 120; i++ {
+	for i := 0; i < 2*maxPending+8; i++ {
 		ev := m.Next()
 		if err := stepped.Step(ev); err != nil {
 			t.Fatalf("step %d: %v", i, err)
@@ -170,7 +170,7 @@ func TestEngineBatchedEqualsStepped(t *testing.T) {
 		if err := batched.Ingest(ev); err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
-		if batched.PendingLen() >= bcfg.MaxPending {
+		if batched.PendingLen() >= maxPending {
 			t.Fatalf("backpressure cap not enforced: %d pending", batched.PendingLen())
 		}
 	}
@@ -332,31 +332,33 @@ func TestEngineApplySemantics(t *testing.T) {
 
 func TestEngineQuarantineRing(t *testing.T) {
 	net, pos := testDeploy(t, 83, 5, 5, 1.6)
-	e, err := New(net, Config{Tau: 3, Seed: 1, Positions: pos, MaxQuarantine: 3})
+	e, err := New(net, Config{Tau: 3, Seed: 1, Positions: pos})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
+	const n = maxQuarantine + 3
+	for i := 0; i < n; i++ {
 		ev := Event{Seq: uint64(i + 1), Kind: KindLeave, Node: graph.NodeID(5000 + i)}
 		if err := e.Step(ev); !errors.Is(err, ErrInvalidEvent) {
 			t.Fatalf("event %d: %v", i, err)
 		}
 	}
 	q := e.Quarantined()
-	if len(q) != 3 {
-		t.Fatalf("quarantine holds %d, want cap 3", len(q))
+	if len(q) != maxQuarantine {
+		t.Fatalf("quarantine holds %d, want cap %d", len(q), maxQuarantine)
 	}
-	if q[0].Event.Node != 5003 || q[2].Event.Node != 5005 {
-		t.Fatalf("quarantine %v: want the three newest rejections", q)
+	if q[0].Event.Node != 5003 || q[len(q)-1].Event.Node != 5000+n-1 {
+		t.Fatalf("quarantine %v: want the %d newest rejections", q, maxQuarantine)
 	}
-	if e.Stats().Rejected != 6 {
-		t.Fatalf("rejected = %d, want 6 (ring caps storage, not counting)", e.Stats().Rejected)
+	if e.Stats().Rejected != n {
+		t.Fatalf("rejected = %d, want %d (ring caps storage, not counting)", e.Stats().Rejected, n)
 	}
 }
 
 // TestEngineMemoEffectiveness: repeated local churn must hit the verdict
-// memo (fingerprint-unchanged regions reuse verdicts), and a tiny memo
-// limit must only cost extra computation, never correctness.
+// memo (fingerprint-unchanged regions reuse verdicts), and a memo at its
+// size cap is dropped wholesale, which costs extra computation but never
+// changes the cover.
 func TestEngineMemoEffectiveness(t *testing.T) {
 	net, pos := testDeploy(t, 84, 6, 6, 1.6)
 	cfg := Config{Tau: 4, Seed: 3, Positions: pos}
@@ -364,9 +366,12 @@ func TestEngineMemoEffectiveness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny, err := New(net, Config{Tau: 4, Seed: 3, Positions: pos, MemoLimit: 4})
+	full, err := New(net, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; len(full.memo) < memoLimit; i++ {
+		full.memo[memoKey{v: -1, fp: uint64(i)}] = 0 // keys no test asks for
 	}
 	v := net.InternalNodes()[0]
 	seq := uint64(0)
@@ -382,45 +387,41 @@ func TestEngineMemoEffectiveness(t *testing.T) {
 		if err := e.Step(ev); err != nil {
 			t.Fatal(err)
 		}
-		if err := tiny.Step(ev); err != nil {
+		if err := full.Step(ev); err != nil {
 			t.Fatal(err)
 		}
-		if e.CoverFingerprint() != tiny.CoverFingerprint() {
-			t.Fatalf("step %d: memo limit changed the cover", i)
+		if e.CoverFingerprint() != full.CoverFingerprint() {
+			t.Fatalf("step %d: dropping the full memo changed the cover", i)
 		}
 	}
-	s := e.Stats()
-	if s.MemoHits == 0 {
+	if s := e.Stats(); s.MemoHits == 0 {
 		t.Fatalf("stats %+v: oscillating one node never hit the memo", s)
 	}
-	if ts := tiny.Stats(); ts.MemoResets == 0 {
-		t.Fatalf("stats %+v: memo limit 4 never reset", ts)
+	if fs := full.Stats(); fs.MemoResets != 1 {
+		t.Fatalf("stats %+v: a memo filled to its cap must be dropped exactly once", fs)
 	}
 }
 
 // TestEngineWitnessHits: inside an election, re-tests of refuted nodes
 // whose witness the deletions missed are answered by the cache, and every
 // test is served exactly one way — by the last election's trace, the
-// cache, the memo, or a fresh verdict — also when the memo is dropped over
-// and over.
+// cache, the memo, or a fresh verdict.
 func TestEngineWitnessHits(t *testing.T) {
 	net, pos := testDeploy(t, 85, 8, 8, 1.6)
-	for _, limit := range []int{0, 4} {
-		e, err := New(net, Config{Tau: 4, Seed: 5, Positions: pos, MemoLimit: limit})
-		if err != nil {
+	e, err := New(net, Config{Tau: 4, Seed: 5, Positions: pos})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMutator(net, Config{Radius: 1.6, Positions: pos}, 86)
+	for seq := 1; seq <= 30; seq++ {
+		if err := e.Step(m.Next()); err != nil && !errors.Is(err, ErrInvalidEvent) {
 			t.Fatal(err)
 		}
-		m := NewMutator(net, Config{Radius: 1.6, Positions: pos}, 86)
-		for seq := 1; seq <= 30; seq++ {
-			if err := e.Step(m.Next()); err != nil && !errors.Is(err, ErrInvalidEvent) {
-				t.Fatal(err)
-			}
-			e.Cover()
-		}
-		s := e.Stats()
-		if s.WitnessHits == 0 || s.Tests != s.MemoHits+s.MemoMisses+s.WitnessHits+s.ReplayHits {
-			t.Fatalf("memo limit %d: stats %+v: want witness hits, and Tests = MemoHits + MemoMisses + WitnessHits + ReplayHits", limit, s)
-		}
+		e.Cover()
+	}
+	s := e.Stats()
+	if s.WitnessHits == 0 || s.Tests != s.MemoHits+s.MemoMisses+s.WitnessHits+s.ReplayHits {
+		t.Fatalf("stats %+v: want witness hits, and Tests = MemoHits + MemoMisses + WitnessHits + ReplayHits", s)
 	}
 }
 
@@ -493,18 +494,34 @@ func TestEventDecodeMalformed(t *testing.T) {
 	}
 }
 
+// TestEngineCoalescingBlockedByIntervening: a mobility tick coalesces only
+// into a pending tick of the same node with nothing but moves after it.
+// Both a crash and rejoin of the node itself and the leave of a neighbour
+// block it: a geometric move derives edges to the nodes live at the time,
+// so applying the later position before the leave would keep an edge to
+// the departed neighbour that stepped application drops.
 func TestEngineCoalescingBlockedByIntervening(t *testing.T) {
 	net, pos := testDeploy(t, 85, 5, 5, 1.6)
-	cfg := Config{Tau: 3, Seed: 1, Radius: 1.6, Positions: pos, MaxPending: 100}
+	cfg := Config{Tau: 3, Seed: 1, Radius: 1.6, Positions: pos}
 	e, err := New(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := New(net, Config{Tau: 3, Seed: 1, Radius: 1.6, Positions: pos, NoCoalesce: true})
+	plain, err := New(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := net.InternalNodes()[0]
+	w := graph.NodeID(-1) // an internal neighbour of v
+	for _, u := range net.G.Neighbors(v) {
+		if !net.Boundary[u] {
+			w = u
+			break
+		}
+	}
+	if w < 0 {
+		t.Fatalf("node %d has no internal neighbour", v)
+	}
 	p := pos[v]
 	events := []Event{
 		{Seq: 1, Kind: KindMove, Node: v, X: p.X + 0.1, Y: p.Y},
@@ -515,6 +532,10 @@ func TestEngineCoalescingBlockedByIntervening(t *testing.T) {
 		{Seq: 4, Kind: KindMove, Node: v, X: p.X, Y: p.Y + 0.2},
 		// This one coalesces into seq 4.
 		{Seq: 5, Kind: KindMove, Node: v, X: p.X, Y: p.Y + 0.3},
+		{Seq: 6, Kind: KindLeave, Node: w},
+		// This tick must NOT coalesce into seq 5: back at its genesis
+		// position v is within range of w, and w departed in between.
+		{Seq: 7, Kind: KindMove, Node: v, X: p.X, Y: p.Y},
 	}
 	for _, ev := range events {
 		if err := e.Ingest(ev); err != nil {
@@ -537,8 +558,8 @@ func TestEngineCoalescingBlockedByIntervening(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	net, pos := testDeploy(t, 86, 5, 5, 1.6)
-	if _, err := New(net, Config{Tau: 2, Seed: 1, Positions: pos}); err == nil {
-		t.Fatal("tau 2 accepted")
+	if _, err := New(net, Config{Tau: 2, Seed: 1, Positions: pos}); !errors.Is(err, core.ErrTauTooSmall) {
+		t.Fatalf("tau 2: %v, want core.ErrTauTooSmall", err)
 	}
 	if _, err := New(net, Config{Tau: 3, Seed: 1, Radius: -1, Positions: pos}); err == nil {
 		t.Fatal("negative radius accepted")

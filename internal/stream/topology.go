@@ -234,10 +234,11 @@ func (t *topology) depart(v graph.NodeID) {
 }
 
 // move updates v's position. In explicit-topology mode position is pure
-// metadata; in geometric mode v's incident edges are re-derived against the
-// live nodes' current positions, which is what makes the final universe
-// edge set a function of each node's latest position (and what licenses
-// the engine's mobility-tick coalescing).
+// metadata; in geometric mode every incident edge of v is dropped, those to
+// departed nodes included, and re-derived against the live nodes' current
+// positions. So v's edges depend on which nodes are live at the move, not
+// only on positions, which is why the engine coalesces ticks only across
+// other moves.
 func (t *topology) move(v graph.NodeID, p geom.Point) {
 	i, _ := t.find(v)
 	t.pos[i] = p

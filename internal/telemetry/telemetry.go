@@ -1,6 +1,6 @@
 // Package telemetry is the repository's zero-dependency metrics substrate:
-// monotonic counters, gauges, fixed-bucket histograms with exact merge
-// semantics, and phase-scoped latency spans. It is designed around the
+// monotonic counters, gauges, fixed-bucket histograms and phase-scoped
+// latency spans. It is designed around the
 // determinism contract ("reproducible from Config alone", DESIGN.md §8):
 //
 //   - Every series carries a Class. Deterministic series (counters, gauges
@@ -109,11 +109,7 @@ func (g *Gauge) Value() int64 {
 
 // Hist is a fixed-bucket histogram: bucket i counts observations v with
 // v ≤ bounds[i] (and above bounds[i-1]), plus one overflow bucket past the
-// last bound. Fixed bounds give exact merge semantics: merging two
-// histograms with equal bounds is byte-for-byte the histogram of the
-// union of their observations (MergeFrom), which is what lets per-shard
-// histograms aggregate without approximation error. A nil *Hist ignores
-// all operations.
+// last bound. A nil *Hist ignores all operations.
 type Hist struct {
 	bounds []int64
 	counts []atomic.Int64 // len(bounds)+1; last is the overflow bucket
@@ -242,51 +238,8 @@ func (h *Hist) Quantile(q float64) int64 {
 	return max
 }
 
-// MergeFrom adds o's observations into h. Exact when the bucket bounds are
-// identical — the merged histogram equals the histogram of the union of
-// observations — and an error otherwise (no approximate rebinning). o is
-// read with atomic loads but not snapshotted; merge quiescent histograms.
-func (h *Hist) MergeFrom(o *Hist) error {
-	if h == nil || o == nil {
-		return nil
-	}
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("telemetry: merge of histograms with %d vs %d buckets", len(h.bounds), len(o.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != o.bounds[i] {
-			return fmt.Errorf("telemetry: merge of histograms with different bounds at index %d (%d vs %d)",
-				i, h.bounds[i], o.bounds[i])
-		}
-	}
-	if o.count.Load() == 0 {
-		return nil
-	}
-	for i := range h.counts {
-		if d := o.counts[i].Load(); d != 0 {
-			h.counts[i].Add(d)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	for {
-		v, cur := o.min.Load(), h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		v, cur := o.max.Load(), h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	return nil
-}
-
 // DefaultLatencyBounds is the shared latency bucket layout: 1-2-5 decades
-// from 1µs to 100s, in nanoseconds. Every span histogram uses it, so span
-// histograms from any two registries merge exactly.
+// from 1µs to 100s, in nanoseconds. Every span histogram uses it.
 var DefaultLatencyBounds = []int64{
 	1_000, 2_000, 5_000, // 1µs–5µs
 	10_000, 20_000, 50_000,

@@ -105,102 +105,6 @@ func TestQuantileBounds(t *testing.T) {
 	}
 }
 
-// histState flattens a histogram for exact comparison.
-func histState(t *testing.T, h *Hist) []int64 {
-	t.Helper()
-	_, counts := h.Buckets()
-	return append(counts, h.Count(), h.Sum(), h.Min(), h.Max())
-}
-
-func equalState(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestMergeExactAssociativeCommutative is the merge-semantics property
-// test: merging histograms equals observing the union of their values, in
-// any order and grouping.
-func TestMergeExactAssociativeCommutative(t *testing.T) {
-	bounds := []int64{1, 5, 25, 125}
-	rng := rand.New(rand.NewSource(2))
-	mk := func(vals []int64) *Hist {
-		h := newHist(bounds)
-		for _, v := range vals {
-			h.Observe(v)
-		}
-		return h
-	}
-	for trial := 0; trial < 100; trial++ {
-		var a, b, c []int64
-		for i, n := 0, rng.Intn(60); i < n; i++ {
-			v := int64(rng.Intn(300)) - 20 // negatives land in bucket 0
-			switch rng.Intn(3) {
-			case 0:
-				a = append(a, v)
-			case 1:
-				b = append(b, v)
-			default:
-				c = append(c, v)
-			}
-		}
-		all := mk(append(append(append([]int64(nil), a...), b...), c...))
-
-		// (a+b)+c
-		ab := mk(a)
-		if err := ab.MergeFrom(mk(b)); err != nil {
-			t.Fatal(err)
-		}
-		abc := ab
-		if err := abc.MergeFrom(mk(c)); err != nil {
-			t.Fatal(err)
-		}
-		// a+(b+c)
-		bc := mk(b)
-		if err := bc.MergeFrom(mk(c)); err != nil {
-			t.Fatal(err)
-		}
-		abc2 := mk(a)
-		if err := abc2.MergeFrom(bc); err != nil {
-			t.Fatal(err)
-		}
-		// c+b+a (commuted)
-		cba := mk(c)
-		if err := cba.MergeFrom(mk(b)); err != nil {
-			t.Fatal(err)
-		}
-		if err := cba.MergeFrom(mk(a)); err != nil {
-			t.Fatal(err)
-		}
-
-		want := histState(t, all)
-		for name, h := range map[string]*Hist{"(a+b)+c": abc, "a+(b+c)": abc2, "c+b+a": cba} {
-			if got := histState(t, h); !equalState(got, want) {
-				t.Fatalf("trial %d: merge %s = %v, direct observation = %v", trial, name, got, want)
-			}
-		}
-	}
-}
-
-func TestMergeBoundsMismatch(t *testing.T) {
-	a := newHist([]int64{1, 2})
-	if err := a.MergeFrom(newHist([]int64{1, 2, 3})); err == nil {
-		t.Fatal("bucket-count mismatch accepted")
-	}
-	if err := a.MergeFrom(newHist([]int64{1, 3})); err == nil {
-		t.Fatal("bound-value mismatch accepted")
-	}
-	if err := a.MergeFrom(nil); err != nil {
-		t.Fatalf("nil merge: %v", err)
-	}
-}
-
 func TestSpanRecordsWithManualClock(t *testing.T) {
 	clk := &ManualClock{}
 	r := NewWithClock(clk)

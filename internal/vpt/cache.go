@@ -63,21 +63,21 @@ type Cache struct {
 	verdict []Verdict // by base dense index
 	scratch *graph.Scratch
 	tester  *Tester
-	dirty   []int32 // Commit/Remove's union of dirty balls, reused
+	dirty   []int32 // Commit's union of dirty balls, reused
 	stats   CacheStats
 
 	// Telemetry handles, nil (no-op) unless Instrument was called. All
 	// counters and the dirty-ball histogram are deterministic-class:
 	// CacheStats is worker-count-invariant by the fixed-chunk decomposition
-	// of core's parallel engine, and the Commit/Restore dirty sets are a
-	// pure function of the deletion history.
+	// of core's parallel engine, and the Commit dirty sets are a pure
+	// function of the deletion history.
 	telLookups, telComputes, telInvalidated, telKept *telemetry.Counter
 	telCertified                                     *telemetry.Counter
 	telRefuted                                       [NumRefutations]*telemetry.Counter
 	telDirty                                         *telemetry.Hist
 }
 
-// dirtyBallBounds buckets Commit/Restore dirty-set sizes: the k-hop ball
+// dirtyBallBounds buckets Commit dirty-set sizes: the k-hop ball
 // population is the quantity the incremental engine's cost model stands
 // on, so power-of-two resolution up to 1024 is plenty.
 var dirtyBallBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
@@ -85,7 +85,7 @@ var dirtyBallBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 // Instrument attaches the cache to reg: the vpt.lookups, vpt.computes,
 // vpt.invalidated, vpt.kept and vpt.certified counters, one
 // vpt.refuted_<kind> counter per Refutation, and the vpt.dirty_ball
-// histogram of Commit/Restore dirty-set sizes. A nil reg leaves the cache
+// histogram of Commit dirty-set sizes. A nil reg leaves the cache
 // uninstrumented (all handles stay nil-safe no-ops).
 func (c *Cache) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
@@ -110,9 +110,9 @@ type CacheStats struct {
 	// ComputeFresh evaluations, published through StoreVerdict, are not
 	// included.
 	Computes int
-	// Invalidated counts verdict entries reset by Commit/Remove/Restore.
+	// Invalidated counts verdict entries reset by Commit and CommitBall.
 	Invalidated int
-	// Kept counts the cached "no" verdicts of Commit/Remove dirty sets that
+	// Kept counts the cached "no" verdicts of Commit dirty sets that
 	// stayed cached because no removed node may belong to their witness.
 	Kept int
 	// Certified counts the "deletable" verdicts Deletable computed that
@@ -150,8 +150,8 @@ func (c *Cache) Tau() int { return c.tau }
 func (c *Cache) Radius() int { return c.k }
 
 // View returns the live-vertex overlay. Callers must not mutate it
-// directly — all deletions go through Commit/Remove so invalidation stays
-// coupled to removal.
+// directly — all deletions go through Commit or CommitBall so invalidation
+// stays coupled to removal.
 func (c *Cache) View() *graph.DeleteView { return c.view }
 
 // Alive reports whether v is still a live vertex.
@@ -230,8 +230,8 @@ func (c *Cache) ComputeFresh(v graph.NodeID, s *graph.Scratch, t *Tester) Verdic
 // ComputeFresh returned on the current live view, or one Cached returned
 // from a Cache over the same labelled Γ^k(v) — the streaming engine's memo
 // hits. The caller must ensure it equals fresh computation on the current
-// live view: no Commit/Remove/Restore since it was computed, or none that
-// touched Γ^k(v).
+// live view: no deletion since it was computed, or none that touched
+// Γ^k(v).
 func (c *Cache) StoreVerdict(v graph.NodeID, x Verdict) {
 	if i, ok := c.liveIndex(v); ok {
 		c.verdict[i] = x
@@ -268,73 +268,17 @@ func (c *Cache) compute(v graph.NodeID, s *graph.Scratch, t *Tester) Verdict {
 // vertices of those balls in increasing ID order — the nodes a scheduler
 // re-tests; the kept ones answer from the cache.
 func (c *Cache) Commit(deleted []graph.NodeID) []graph.NodeID {
-	return c.remove(deleted)
-}
-
-// Remove is Commit for vertices that vanish outside the scheduler's
-// control (crash faults in the distributed runtime): a bare removal
-// invalidates the same dirty region as a scheduled deletion — the cache
-// cannot tell why a vertex disappeared, only that its neighbours' Γ^k
-// changed.
-func (c *Cache) Remove(removed []graph.NodeID) []graph.NodeID {
-	return c.remove(removed)
-}
-
-// Restore revives a vertex previously removed through Commit/Remove — the
-// node-rejoin path of the streaming engine — and invalidates every cached
-// verdict within k live-path hops of v measured on the post-restore view.
-// The mirror-image soundness argument of Commit applies: an insertion only
-// ever shortens live distances, so any vertex whose Γ^k gained v (or gained
-// a path through v) is within k post-restore hops of v, and the
-// post-restore ball therefore covers everything whose verdict may have
-// changed. It returns the dirtied live vertices (v included) in increasing
-// ID order; a nil return means v was not a dead vertex of the base graph
-// and nothing changed.
-func (c *Cache) Restore(v graph.NodeID) []graph.NodeID {
-	if !c.view.Restore(v) {
-		return nil
-	}
-	dirty := c.view.KHopBallIndices(v, c.k, c.scratch)
-	vi, _ := c.g.IndexOf(v)
-	out := make([]graph.NodeID, 0, len(dirty)+1)
-	mark := func(bi int32) {
-		if c.verdict[bi] != verdictUnknown {
-			c.stats.Invalidated++
-			c.telInvalidated.Inc()
-		}
-		c.verdict[bi] = verdictUnknown
-		out = append(out, c.g.NodeAt(int(bi)))
-	}
-	// dirty is sorted by base index (= increasing ID) and excludes v;
-	// splice v in at its place.
-	placed := false
-	for _, bi := range dirty {
-		if !placed && int32(vi) < bi {
-			mark(int32(vi))
-			placed = true
-		}
-		mark(bi)
-	}
-	if !placed {
-		mark(int32(vi))
-	}
-	c.telDirty.Observe(int64(len(out)))
-	debugAuditClean(c)
-	return out
-}
-
-func (c *Cache) remove(del []graph.NodeID) []graph.NodeID {
 	// Union of the pre-removal k-hop balls, marking stale the verdicts a
 	// removed vertex touches. KHopBallIndices reuses the scratch ball
 	// buffer, so copy per vertex.
 	dirty := c.dirty[:0]
-	for _, v := range del {
+	for _, v := range deleted {
 		ball := c.view.KHopBallIndices(v, c.k, c.scratch)
 		c.markStale(v, ball)
 		dirty = append(dirty, ball...)
 	}
 	c.dirty = dirty
-	for _, v := range del {
+	for _, v := range deleted {
 		c.kill(v)
 	}
 	slices.Sort(dirty)

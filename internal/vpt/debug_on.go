@@ -11,7 +11,7 @@ import (
 // Deep assertions for the incremental deletability engine (-tags dccdebug):
 // every cached verdict must equal a from-scratch recomputation on a freshly
 // materialized graph, the witness of every computed "no" must refute on
-// its own, and after every Commit/Remove the surviving clean verdicts must
+// its own, and after every Commit the surviving clean verdicts must
 // still be fresh (the dirty-set audit — the k-hop invalidation radius and
 // the witnesses of the kept "no"s really covered everything that changed).
 //

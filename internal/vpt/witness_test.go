@@ -99,26 +99,26 @@ func TestWitnessPerRefutation(t *testing.T) {
 }
 
 // TestWitnessKeptUntilRestore: a "no" with an empty witness survives every
-// deletion, and a Restore in its ball still invalidates it.
+// deletion in its ball, direct neighbours included. A Cache's live set only
+// shrinks (a revival means a new Cache), so the verdict goes only with its
+// own node.
 func TestWitnessKeptUntilRestore(t *testing.T) {
 	g, _ := graph.FromEdges([]graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 3}, {U: 2, V: 3}})
 	c := NewCache(g, 3)
 	if refutedBy(t, c, 0) != RefutedUnconfined {
 		t.Fatal("node 0 should be unconfined")
 	}
-	c.Commit([]graph.NodeID{3})
-	c.Commit([]graph.NodeID{1})
-	if _, ok := c.Cached(0); !ok {
-		t.Fatal("an unconfined verdict did not survive deletions")
+	for _, w := range []graph.NodeID{3, 1, 2} {
+		c.Commit([]graph.NodeID{w})
+		if _, ok := c.Cached(0); !ok {
+			t.Fatalf("deleting %d dropped a verdict with no witness", w)
+		}
+		checkAgainstFresh(t, c, "after deletions")
 	}
-	checkAgainstFresh(t, c, "after deletions")
-	if dirty := c.Restore(3); !slices.Contains(dirty, 0) {
-		t.Fatalf("Restore(3) did not dirty node 0: %v", dirty)
-	}
+	c.Commit([]graph.NodeID{0})
 	if _, ok := c.Cached(0); ok {
-		t.Fatal("Restore kept a verdict in its ball")
+		t.Fatal("a deleted node kept its verdict")
 	}
-	checkAgainstFresh(t, c, "after restore")
 }
 
 // TestVerdictWord pins the one-word encoding the streaming memo relies on:

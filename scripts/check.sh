@@ -45,7 +45,7 @@ go test -tags dccdebug ./...
 echo '== cache consistency smoke (deep assertions)'
 # The incremental deletability engine with its dccdebug cross-checks armed:
 # every cached verdict is compared against fresh recomputation, and every
-# Commit/Remove is followed by a dirty-set audit. The reference regression
+# Commit is followed by a dirty-set audit. The reference regression
 # pins the cache-backed schedulers to the pre-cache engines byte for byte.
 go test -tags dccdebug -run '^TestCache|^FuzzCacheConsistency$' ./internal/vpt
 go test -tags dccdebug -run 'MatchesReference$' ./internal/core

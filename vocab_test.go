@@ -2,6 +2,7 @@ package dcc_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dcc"
@@ -26,7 +27,9 @@ import (
 // fails here before it fails a reader. Synonyms (NumWorkers, RandSeed,
 // Metrics, ...) are rejected outright; Workers is required only where the
 // engine actually has parallel sections (the distributed simulator and the
-// streaming engine are deliberately sequential).
+// streaming engine are deliberately sequential). It also pins each struct's
+// complete field list, in declaration order, so a change that adds or
+// drops a knob edits the list here in the same diff.
 func TestConfigVocabulary(t *testing.T) {
 	type want struct {
 		name    string
@@ -39,16 +42,23 @@ func TestConfigVocabulary(t *testing.T) {
 	noWorkers := want{"Workers", reflect.TypeOf(int(0)), false}
 
 	cases := []struct {
-		label string
-		cfg   interface{}
-		wants []want
+		label  string
+		cfg    interface{}
+		wants  []want
+		fields string
 	}{
-		{"core.Options", core.Options{}, []want{seed, workers, telem}},
-		{"dist.Config", dist.Config{}, []want{seed, noWorkers, telem}},
-		{"stream.Config", stream.Config{}, []want{seed, noWorkers, telem}},
-		{"experiments.Config", experiments.Config{}, []want{seed, workers, telem}},
-		{"shard.Options", shard.Options{}, []want{seed, workers, telem}},
-		{"dcc.ScheduleOptions", dcc.ScheduleOptions{}, []want{seed, workers, telem}},
+		{"core.Options", core.Options{}, []want{seed, workers, telem},
+			"Tau Seed Mode Workers Telemetry"},
+		{"dist.Config", dist.Config{}, []want{seed, noWorkers, telem},
+			"Tau Seed Loss Reliability MaxSuperRounds Faults Telemetry"},
+		{"stream.Config", stream.Config{}, []want{seed, noWorkers, telem},
+			"Tau Seed Radius Positions WAL SyncWAL Telemetry"},
+		{"experiments.Config", experiments.Config{}, []want{seed, workers, telem},
+			"Seed Runs Nodes AvgDegree MaxTau Quick Workers Telemetry"},
+		{"shard.Options", shard.Options{}, []want{seed, workers, telem},
+			"Tau Seed Workers Telemetry"},
+		{"dcc.ScheduleOptions", dcc.ScheduleOptions{}, []want{seed, workers, telem},
+			"Seed Parallel Workers Telemetry"},
 	}
 	// Field names that spell one of the shared concepts differently.
 	// MaxSuperRounds et al. are engine-specific knobs, not synonyms.
@@ -82,6 +92,13 @@ func TestConfigVocabulary(t *testing.T) {
 			if _, ok := st.FieldByName(syn); ok {
 				t.Errorf("%s: field %s is a vocabulary synonym — use the shared name (DESIGN.md §15)", tc.label, syn)
 			}
+		}
+		names := make([]string, st.NumField())
+		for i := range names {
+			names[i] = st.Field(i).Name
+		}
+		if got := strings.Join(names, " "); got != tc.fields {
+			t.Errorf("%s has fields %q, want %q — a knob added or dropped updates this list", tc.label, got, tc.fields)
 		}
 	}
 }
