@@ -137,18 +137,16 @@ type Replay struct {
 
 // Touch records, before an event changes the live graph, a node whose
 // liveness or incident edges the event changes: the node of a join, leave,
-// crash or move, and both endpoints of an edge event. view is the live
-// graph before the event; s is scratch for its ball. A no-op while there
-// is no trace to replay.
-func (r *Replay) Touch(view *graph.DeleteView, x graph.NodeID, s *graph.Scratch) {
+// crash or move, and both endpoints of an edge event. ball is x's k-ball
+// in the live graph before the event, k = ⌈τ/2⌉: the live nodes within k
+// hops of x, x excluded, in any order, and empty when x is not live.
+// Touch copies it. A no-op while there is no trace to replay.
+func (r *Replay) Touch(x graph.NodeID, ball []graph.NodeID) {
 	if !r.traced {
 		return
 	}
 	r.touched = append(r.touched, x)
-	base := view.Base()
-	for _, bi := range view.KHopBallIndices(x, r.last.k, s) {
-		r.near = append(r.near, base.NodeAt(int(bi)))
-	}
+	r.near = append(r.near, ball...)
 	// A long run of events without an election repeats nodes; keep the
 	// lists within a constant factor of the distinct nodes they name.
 	if len(r.near) > r.dedupAt {

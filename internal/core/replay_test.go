@@ -215,14 +215,14 @@ func TestReplayMatchesCanonical(t *testing.T) {
 			seed := int64(1000 + ci)
 			w := newReplayWorld(seed, tc.n, tc.degree)
 			var r Replay
-			s := graph.NewScratch(nil)
+			k := vpt.NeighborhoodRadius(tc.tau)
 			net := w.network()
 			checkReplayElection(t, &r, net, seed, tc.tau)
 			var tests, replayed int
 			for step := 0; step < steps; step++ {
 				for c := 0; c < tc.batch; c++ {
-					view := graph.NewDeleteView(net.G)
-					w.edit(w.rng.Intn(numEdits), func(x graph.NodeID) { r.Touch(view, x, s) })
+					g := net.G
+					w.edit(w.rng.Intn(numEdits), func(x graph.NodeID) { r.Touch(x, g.KHopNeighbors(x, k)) })
 					net = w.network()
 				}
 				n, k := checkReplayElection(t, &r, net, seed, tc.tau)
@@ -289,12 +289,12 @@ func FuzzCanonicalReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, seed, tau, kinds := fuzzReplay(data)
 		var r Replay
-		s := graph.NewScratch(nil)
+		k := vpt.NeighborhoodRadius(tau)
 		net := w.network()
 		checkReplayElection(t, &r, net, seed, tau)
 		for _, kind := range kinds {
-			view := graph.NewDeleteView(net.G)
-			w.edit(kind, func(x graph.NodeID) { r.Touch(view, x, s) })
+			g := net.G
+			w.edit(kind, func(x graph.NodeID) { r.Touch(x, g.KHopNeighbors(x, k)) })
 			net = w.network()
 		}
 		checkReplayElection(t, &r, net, seed, tau)

@@ -36,7 +36,6 @@ type StreamingResult struct {
 	Recovered int
 	// Per-run averages of the engine's own accounting.
 	AvgApplied      float64
-	AvgCoalesced    float64
 	AvgRebuilds     float64
 	AvgFastRestores float64
 	AvgElections    float64
@@ -152,7 +151,6 @@ func Streaming(w io.Writer, cfg Config) (StreamingResult, error) {
 		out.Converged += r.converged
 		out.Recovered += r.recovered
 		out.AvgApplied += float64(r.st.Applied)
-		out.AvgCoalesced += float64(r.st.Coalesced)
 		out.AvgRebuilds += float64(r.st.Rebuilds)
 		out.AvgFastRestores += float64(r.st.FastRestores)
 		out.AvgElections += float64(r.st.Elections)
@@ -164,10 +162,9 @@ func Streaming(w io.Writer, cfg Config) (StreamingResult, error) {
 	// from a concurrent worker and the counter totals are plain sums of a
 	// worker-count-invariant multiset.
 	if reg := cfg.Telemetry; reg != nil {
-		var applied, coalesced, rebuilds, restores, elections, hits, misses int64
+		var applied, rebuilds, restores, elections, hits, misses int64
 		for _, r := range perRun {
 			applied += int64(r.st.Applied)
-			coalesced += int64(r.st.Coalesced)
 			rebuilds += int64(r.st.Rebuilds)
 			restores += int64(r.st.FastRestores)
 			elections += int64(r.st.Elections)
@@ -175,7 +172,6 @@ func Streaming(w io.Writer, cfg Config) (StreamingResult, error) {
 			misses += int64(r.st.MemoMisses)
 		}
 		reg.Counter("experiments.stream.applied").Add(applied)
-		reg.Counter("experiments.stream.coalesced").Add(coalesced)
 		reg.Counter("experiments.stream.rebuilds").Add(rebuilds)
 		reg.Counter("experiments.stream.fast_restores").Add(restores)
 		reg.Counter("experiments.stream.elections").Add(elections)
@@ -187,7 +183,6 @@ func Streaming(w io.Writer, cfg Config) (StreamingResult, error) {
 
 	n := float64(cfg.Runs)
 	out.AvgApplied /= n
-	out.AvgCoalesced /= n
 	out.AvgRebuilds /= n
 	out.AvgFastRestores /= n
 	out.AvgElections /= n
@@ -199,8 +194,8 @@ func Streaming(w io.Writer, cfg Config) (StreamingResult, error) {
 		cfg.Nodes, cfg.Runs, events, streamingTau)
 	fmt.Fprintf(w, "  convergence checkpoints matched: %d/%d\n", out.Converged, cfg.Runs*checkpoints)
 	fmt.Fprintf(w, "  crash-restart re-convergences:   %d/%d\n", out.Recovered, cfg.Runs)
-	fmt.Fprintf(w, "  avg per run: applied %.1f  coalesced %.1f  rebuilds %.1f  fast restores %.1f  elections %.1f\n",
-		out.AvgApplied, out.AvgCoalesced, out.AvgRebuilds, out.AvgFastRestores, out.AvgElections)
+	fmt.Fprintf(w, "  avg per run: applied %.1f  rebuilds %.1f  fast restores %.1f  elections %.1f\n",
+		out.AvgApplied, out.AvgRebuilds, out.AvgFastRestores, out.AvgElections)
 	fmt.Fprintf(w, "  verdict-memo hit rate: %.2f\n", out.MemoHitRate)
 	fmt.Fprintf(w, "  streaming cover == batch canonical schedule at every checkpoint and after every crash\n")
 	return out, nil

@@ -222,6 +222,11 @@ func (g *Graph) IndexOf(v NodeID) (int, bool) { return g.index(v) }
 // NodeAt returns the node ID with dense index i (inverse of IndexOf).
 func (g *Graph) NodeAt(i int) NodeID { return g.ids[i] }
 
+// NeighborIndices returns the dense indices of the neighbours of the node
+// with dense index i, ascending. The slice aliases the graph: callers must
+// not modify it.
+func (g *Graph) NeighborIndices(i int) []int32 { return g.adj[i] }
+
 // HasEdge reports whether {u,v} is an edge.
 func (g *Graph) HasEdge(u, v NodeID) bool {
 	_, ok := g.EdgeIndex(u, v)

@@ -10,8 +10,6 @@ import "math/bits"
 // a time, and rebuilding a Graph per round was the dominant allocation
 // cost of the hot loop.
 //
-// Deletion is reversible: Restore revives a dead vertex in O(1), the path
-// the streaming engine's node-rejoin events take (internal/stream).
 // Materialize produces a real Graph of the live remainder (structurally
 // identical to Base().DeleteVertices(everything currently dead)).
 //
@@ -54,20 +52,6 @@ func (d *DeleteView) Delete(v NodeID) bool {
 	}
 	d.gone[i] = true
 	d.numGone++
-	return true
-}
-
-// Restore marks a dead vertex live again and reports whether it was dead.
-// Absent or already-live vertices are a no-op. The revived vertex rejoins
-// with every base-graph edge whose other endpoint is live — Restore is the
-// exact inverse of Delete.
-func (d *DeleteView) Restore(v NodeID) bool {
-	i, ok := d.g.index(v)
-	if !ok || !d.gone[i] {
-		return false
-	}
-	d.gone[i] = false
-	d.numGone--
 	return true
 }
 
@@ -195,9 +179,8 @@ func mix(h, x uint64) uint64 {
 // is dead or absent — 0 is reserved and never produced for a live vertex.
 //
 // This is the memo key of the streaming engine's verdict cache
-// (internal/stream): a cover re-election may rebuild the base CSR many
-// times, but a vertex whose fingerprint is unchanged provably has an
-// unchanged verdict.
+// (internal/stream): every re-election builds a fresh live graph, but a
+// vertex whose fingerprint is unchanged provably has an unchanged verdict.
 func (d *DeleteView) NeighborhoodFingerprint(v NodeID, k int, s *Scratch) uint64 {
 	vi, ok := d.g.index(v)
 	if !ok || d.gone[vi] {
@@ -228,18 +211,28 @@ func (d *DeleteView) NeighborhoodFingerprint(v NodeID, k int, s *Scratch) uint64
 	return h
 }
 
-// Materialize builds the live remainder as a real Graph, structurally
-// identical to applying DeleteVertices for every deleted vertex at once.
-func (d *DeleteView) Materialize() *Graph {
-	s := getScratch(len(d.g.ids))
+// LiveInduced builds the subgraph of a node universe induced by its live
+// nodes: ids holds the universe's node IDs strictly ascending, adj[i] the
+// indices into ids of node i's neighbours, strictly ascending, symmetric
+// and free of self-loops, and dead[i] marks node i departed. The result is
+// structurally identical to the Graph a Builder makes of the live nodes
+// and the edges between them, but costs two passes over the live nodes'
+// lists, with no sort and no ID search. It owns its arrays.
+func LiveInduced(ids []NodeID, adj [][]int32, dead []bool) *Graph {
+	s := getScratch(len(ids))
 	defer putScratch(s)
 	keep := s.ball[:0]
-	for i := range d.g.ids {
-		if !d.gone[i] {
+	for i, d := range dead {
+		if !d {
 			keep = append(keep, int32(i))
 		}
 	}
-	sub := d.g.compactInduced(keep, s)
+	// compactInduced reads only a graph's ids and adj.
+	sub := (&Graph{ids: ids, adj: adj}).compactInduced(keep, s)
 	s.ball = keep[:0]
 	return sub
 }
+
+// Materialize builds the live remainder as a real Graph, structurally
+// identical to applying DeleteVertices for every deleted vertex at once.
+func (d *DeleteView) Materialize() *Graph { return LiveInduced(d.g.ids, d.g.adj, d.gone) }

@@ -74,6 +74,51 @@ func TestMaterializeMatchesDeleteVertices(t *testing.T) {
 	}
 }
 
+// TestLiveInducedMatchesMaterialize: the subgraph LiveInduced builds from
+// a universe's ID list, neighbour-index lists and dead flags is
+// structurally identical to the overlay's Materialize of the same
+// universe and to a Builder build of its live nodes and the edges between
+// them, on sparse graphs with isolated nodes, with no node dead, and with
+// every node dead.
+func TestLiveInducedMatchesMaterialize(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 60; trial++ {
+		g := randomGraph(r, r.Intn(40), r.Float64()*0.3)
+		p := r.Float64() * 0.6
+		switch trial % 10 {
+		case 0:
+			p = 0
+		case 1:
+			p = 1
+		}
+		dead := make([]bool, g.NumNodes())
+		adj := make([][]int32, g.NumNodes())
+		view := NewDeleteView(g)
+		b := NewBuilder()
+		for i, v := range g.ids {
+			adj[i] = g.NeighborIndices(i)
+			if r.Float64() < p {
+				dead[i] = true
+				view.Delete(v)
+			} else {
+				b.AddNode(v)
+			}
+		}
+		for _, e := range g.Edges() {
+			if view.Alive(e.U) && view.Alive(e.V) {
+				b.AddEdge(e.U, e.V)
+			}
+		}
+		got := LiveInduced(g.Nodes(), adj, dead)
+		if want := b.MustBuild(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: LiveInduced differs from Builder\ngot:  %+v\nwant: %+v", trial, got, want)
+		}
+		if want := view.Materialize(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: LiveInduced differs from Materialize", trial)
+		}
+	}
+}
+
 // TestKHopBallMatchesKHopNeighbors: ball queries on the overlay must agree
 // with KHopNeighbors on the rebuilt graph, for every live vertex and radius.
 func TestKHopBallMatchesKHopNeighbors(t *testing.T) {
@@ -169,84 +214,6 @@ func TestDeleteViewQueries(t *testing.T) {
 	}
 	if view.KHopBall(5, 2, s) != nil {
 		t.Fatal("KHopBall of a dead vertex should be nil")
-	}
-}
-
-// TestDeleteViewRestore pins the re-insertion path node-join events take:
-// Restore is the exact inverse of Delete — after delete+restore every query
-// matches a never-deleted view — and revived vertices rejoin with all their
-// base edges to live endpoints.
-func TestDeleteViewRestore(t *testing.T) {
-	g := Grid(4, 4)
-	view := NewDeleteView(g)
-	if view.Restore(5) {
-		t.Fatal("Restore of a live vertex must report false")
-	}
-	if view.Restore(999) {
-		t.Fatal("Restore of an absent vertex must report false")
-	}
-	if !view.Delete(5) || !view.Restore(5) {
-		t.Fatal("delete+restore of a live vertex must both report true")
-	}
-	if view.Restore(5) {
-		t.Fatal("double Restore must report false")
-	}
-	if !view.Alive(5) || view.NumLive() != 16 {
-		t.Fatal("restored vertex must be live again")
-	}
-	if got := view.Materialize().Neighbors(5); !reflect.DeepEqual(got, g.Neighbors(5)) {
-		t.Fatalf("restored vertex neighbours %v, want %v", got, g.Neighbors(5))
-	}
-
-	// Randomized inverse law: delete a set, restore a subset, and compare
-	// every query against a view that only ever deleted the difference.
-	r := rand.New(rand.NewSource(23))
-	s := NewScratch(nil)
-	for trial := 0; trial < 30; trial++ {
-		rg := randomGraph(r, 5+r.Intn(35), 0.1+r.Float64()*0.25)
-		del := pickDead(r, rg, 0.5)
-		revive := make(map[NodeID]bool)
-		stillDead := make(map[NodeID]bool)
-		for _, v := range del {
-			if r.Float64() < 0.5 {
-				revive[v] = true
-			} else {
-				stillDead[v] = true
-			}
-		}
-		got := NewDeleteView(rg)
-		for _, v := range del {
-			got.Delete(v)
-		}
-		for _, v := range del {
-			if revive[v] && !got.Restore(v) {
-				t.Fatalf("trial %d: Restore(%d) of dead vertex reported false", trial, v)
-			}
-		}
-		want := NewDeleteView(rg)
-		for _, v := range del {
-			if stillDead[v] {
-				want.Delete(v)
-			}
-		}
-		if got.NumLive() != want.NumLive() {
-			t.Fatalf("trial %d: NumLive %d, want %d", trial, got.NumLive(), want.NumLive())
-		}
-		if !reflect.DeepEqual(got.Materialize(), want.Materialize()) {
-			t.Fatalf("trial %d: delete+restore view materializes differently from direct deletion", trial)
-		}
-		for _, v := range want.LiveNodes() {
-			for k := 1; k <= 3; k++ {
-				a := got.KHopBall(v, k, s)
-				b := want.KHopBall(v, k, s)
-				if len(a) == 0 && len(b) == 0 {
-					continue
-				}
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("trial %d: KHopBall(%d,%d) differs after restore", trial, v, k)
-				}
-			}
-		}
 	}
 }
 

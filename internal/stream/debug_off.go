@@ -17,3 +17,10 @@ func debugCheckWitnessHit(*vpt.Cache, graph.NodeID, bool, *graph.Scratch, *vpt.T
 // debugCheckTelemetryMirror is a no-op in release builds; the dccdebug
 // build asserts published telemetry mirrors Stats (debug_on.go).
 func debugCheckTelemetryMirror(*Engine) {}
+
+// debugCheckTopology and debugCheckLiveGraph are no-ops in release
+// builds; the dccdebug build checks the neighbour lists after every edit
+// and the live graph against a Builder build (debug_on.go).
+func debugCheckTopology(*topology) {}
+
+func debugCheckLiveGraph(*topology, *graph.Graph) {}

@@ -44,9 +44,9 @@ type Config struct {
 	// Telemetry, when non-nil, receives the engine's metrics: deterministic
 	// counters mirroring Stats (stream.admitted, stream.applied, ...),
 	// gauges (stream.watermark, stream.pending, stream.live), and — when the
-	// registry has a clock — the stream.wal_append, stream.fsync,
-	// stream.rebuild and stream.election spans. Collection never perturbs
-	// results: counters are published as deltas after the work they count.
+	// registry has a clock — the stream.wal_append, stream.fsync and
+	// stream.election spans. Collection never perturbs results: counters
+	// are published as deltas after the work they count.
 	Telemetry *telemetry.Registry
 }
 
@@ -72,11 +72,10 @@ type Stats struct {
 	Applied    int // events applied to the topology
 	Rejected   int // events quarantined (shape, boundary, stale, semantic)
 	Duplicates int // watermark redeliveries dropped silently
-	Coalesced  int // mobility ticks absorbed by a pending tick
 
 	// Topology.
-	Rebuilds     int // CSR recompilations (structural events)
-	FastRestores int // rejoins served by the O(1) overlay Restore
+	Rebuilds     int // structural events: joins other than revivals in place, geometric moves, edge events
+	FastRestores int // revivals in place, which keep the node's retained edges
 
 	// Election.
 	Elections   int
@@ -150,7 +149,7 @@ type Engine struct {
 // telHandles caches the engine's registry handles so publish never takes
 // the registry's name-lookup path on the hot path.
 type telHandles struct {
-	admitted, applied, rejected, duplicates, coalesced *telemetry.Counter
+	admitted, applied, rejected, duplicates            *telemetry.Counter
 	rebuilds, fastRestores                             *telemetry.Counter
 	elections, tests, memoHits, memoMisses, memoResets *telemetry.Counter
 	witnessHits, replayHits, walBytes, snapshots       *telemetry.Counter
@@ -163,7 +162,6 @@ func newTelHandles(reg *telemetry.Registry) telHandles {
 		applied:      reg.Counter("stream.applied"),
 		rejected:     reg.Counter("stream.rejected"),
 		duplicates:   reg.Counter("stream.duplicates"),
-		coalesced:    reg.Counter("stream.coalesced"),
 		rebuilds:     reg.Counter("stream.rebuilds"),
 		fastRestores: reg.Counter("stream.fast_restores"),
 		elections:    reg.Counter("stream.elections"),
@@ -195,7 +193,6 @@ func (e *Engine) publish() {
 	pubInt(e.th.applied, &p.Applied, s.Applied)
 	pubInt(e.th.rejected, &p.Rejected, s.Rejected)
 	pubInt(e.th.duplicates, &p.Duplicates, s.Duplicates)
-	pubInt(e.th.coalesced, &p.Coalesced, s.Coalesced)
 	pubInt(e.th.rebuilds, &p.Rebuilds, s.Rebuilds)
 	pubInt(e.th.fastRestores, &p.FastRestores, s.FastRestores)
 	pubInt(e.th.elections, &p.Elections, s.Elections)
@@ -268,7 +265,6 @@ func New(net core.Network, cfg Config) (*Engine, error) {
 		e.walSync = s
 	}
 	e.topo = newTopology(net.G, cfg.Radius, pos, &e.stats)
-	e.topo.tel = e.tel
 
 	e.boundary = make(map[graph.NodeID]bool, len(net.Boundary))
 	for _, v := range nodes {
@@ -430,11 +426,11 @@ func (e *Engine) apply(ev Event) error {
 }
 
 // touch tells the election replay that the event about to be applied
-// changes the liveness or incident edges of nodes, while the topology's
-// live view still shows the graph before it.
+// changes the liveness or incident edges of nodes, with each node's k-ball
+// in the live graph before the event.
 func (e *Engine) touch(nodes ...graph.NodeID) {
 	for _, v := range nodes {
-		e.replay.Touch(e.topo.view, v, e.topo.scratch)
+		e.replay.Touch(v, e.topo.ball(v, e.k))
 	}
 }
 
@@ -447,15 +443,9 @@ func (e *Engine) applyOne(ev Event) error {
 	return nil
 }
 
-// Ingest admits ev and enqueues it for batched application. A mobility
-// tick replaces, last-write-wins, a pending tick of the same node when
-// only moves are pending after it. That reaches the same final topology:
-// moves change no node's liveness, and a geometric move re-derives all of
-// its node's edges from current positions. Any other pending event blocks
-// it: a move derives edges only to the nodes live at the time, so applying
-// the later position before a leave would keep an edge to the departed
-// node that stepped application and WAL replay drop. When the queue
-// reaches maxPending the whole batch is applied at once (bounded
+// Ingest admits ev and enqueues it for batched application, so a batch
+// applies exactly the events Step would, in the same order. When the
+// queue reaches maxPending the whole batch is applied at once (bounded
 // staleness: one re-election amortizes the burst).
 //
 // The returned error reports this event's admission verdict (nil means
@@ -467,15 +457,6 @@ func (e *Engine) Ingest(ev Event) error {
 	defer e.publish()
 	if err := e.admit(ev); err != nil {
 		return err
-	}
-	if ev.Kind == KindMove {
-		for i := len(e.pending) - 1; i >= 0 && e.pending[i].Kind == KindMove; i-- {
-			if e.pending[i].Node == ev.Node {
-				e.pending[i] = ev
-				e.stats.Coalesced++
-				return nil
-			}
-		}
 	}
 	e.pending = append(e.pending, ev)
 	if len(e.pending) >= maxPending {
@@ -724,7 +705,7 @@ func (e *Engine) CoverFingerprint() [32]byte {
 	e.flush()
 	e.elect()
 	e.publish()
-	return CoverFingerprintOf(e.tau, e.seed, e.liveNodesAt(), e.topo.liveGraph().Edges(), e.cover)
+	return CoverFingerprintOf(e.tau, e.seed, e.liveNodesAt(), e.topo.edges(true), e.cover)
 }
 
 // stateBytes is the canonical encoding of the full engine state — universe
@@ -761,8 +742,9 @@ func (e *Engine) stateBytes() []byte {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.pos[i].X))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.pos[i].Y))
 	}
-	b = binary.AppendUvarint(b, uint64(len(t.edges)))
-	for _, ed := range t.edges {
+	edges := t.edges(false)
+	b = binary.AppendUvarint(b, uint64(len(edges)))
+	for _, ed := range edges {
 		b = binary.AppendUvarint(b, uint64(ed.U))
 		b = binary.AppendUvarint(b, uint64(ed.V))
 	}

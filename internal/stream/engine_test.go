@@ -145,8 +145,8 @@ func TestEngineDifferentialConvergence(t *testing.T) {
 	}
 }
 
-// TestEngineBatchedEqualsStepped: backpressure batching (with mobility
-// coalescing) and the per-event path land on identical state and cover.
+// TestEngineBatchedEqualsStepped: backpressure batching and the per-event
+// path land on identical state and cover.
 // The stream is long enough to fill the queue twice, so the batched engine
 // applies full batches at the queue cap before the final flush.
 func TestEngineBatchedEqualsStepped(t *testing.T) {
@@ -181,9 +181,6 @@ func TestEngineBatchedEqualsStepped(t *testing.T) {
 		t.Fatal("batched ingestion diverged from stepped application (cover)")
 	}
 	bs := batched.Stats()
-	if bs.Coalesced == 0 {
-		t.Fatal("mobility-heavy stream produced no coalescing")
-	}
 	if ss := stepped.Stats(); bs.Elections >= ss.Elections {
 		t.Fatalf("batching did not reduce elections: %d vs %d", bs.Elections, ss.Elections)
 	}
@@ -494,65 +491,41 @@ func TestEventDecodeMalformed(t *testing.T) {
 	}
 }
 
-// TestEngineCoalescingBlockedByIntervening: a mobility tick coalesces only
-// into a pending tick of the same node with nothing but moves after it.
-// Both a crash and rejoin of the node itself and the leave of a neighbour
-// block it: a geometric move derives edges to the nodes live at the time,
-// so applying the later position before the leave would keep an edge to
-// the departed neighbour that stepped application drops.
-func TestEngineCoalescingBlockedByIntervening(t *testing.T) {
+// TestEngineBatchedRejectsAsStepped: a batch applies every admitted event
+// as Step does, so two ticks of an absent node are both rejected, with
+// the same quarantine, whether they are ingested and flushed or stepped.
+func TestEngineBatchedRejectsAsStepped(t *testing.T) {
 	net, pos := testDeploy(t, 85, 5, 5, 1.6)
 	cfg := Config{Tau: 3, Seed: 1, Radius: 1.6, Positions: pos}
-	e, err := New(net, cfg)
+	batched, err := New(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := New(net, cfg)
+	stepped, err := New(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := net.InternalNodes()[0]
-	w := graph.NodeID(-1) // an internal neighbour of v
-	for _, u := range net.G.Neighbors(v) {
-		if !net.Boundary[u] {
-			w = u
-			break
+	for seq := uint64(1); seq <= 2; seq++ {
+		ev := Event{Seq: seq, Kind: KindMove, Node: 9999, X: 1, Y: float64(seq)}
+		if err := batched.Ingest(ev); err != nil {
+			t.Fatalf("ingest %v: %v", ev, err)
+		}
+		if err := stepped.Step(ev); !errors.Is(err, ErrInvalidEvent) {
+			t.Fatalf("step %v: %v, want ErrInvalidEvent", ev, err)
 		}
 	}
-	if w < 0 {
-		t.Fatalf("node %d has no internal neighbour", v)
+	batched.Flush()
+	if b, s := batched.Stats().Rejected, stepped.Stats().Rejected; b != s || s != 2 {
+		t.Fatalf("rejected %d batched, %d stepped; want 2 each", b, s)
 	}
-	p := pos[v]
-	events := []Event{
-		{Seq: 1, Kind: KindMove, Node: v, X: p.X + 0.1, Y: p.Y},
-		{Seq: 2, Kind: KindCrash, Node: v},
-		{Seq: 3, Kind: KindJoin, Node: v, X: p.X, Y: p.Y},
-		// This tick must NOT coalesce into the seq-1 tick: the crash/join
-		// pair between them reads v's liveness.
-		{Seq: 4, Kind: KindMove, Node: v, X: p.X, Y: p.Y + 0.2},
-		// This one coalesces into seq 4.
-		{Seq: 5, Kind: KindMove, Node: v, X: p.X, Y: p.Y + 0.3},
-		{Seq: 6, Kind: KindLeave, Node: w},
-		// This tick must NOT coalesce into seq 5: back at its genesis
-		// position v is within range of w, and w departed in between.
-		{Seq: 7, Kind: KindMove, Node: v, X: p.X, Y: p.Y},
+	bq, sq := batched.Quarantined(), stepped.Quarantined()
+	if len(bq) != len(sq) {
+		t.Fatalf("quarantine holds %d batched, %d stepped", len(bq), len(sq))
 	}
-	for _, ev := range events {
-		if err := e.Ingest(ev); err != nil {
-			t.Fatalf("%v: %v", ev, err)
+	for i := range bq {
+		if bq[i].Event != sq[i].Event || bq[i].Err.Error() != sq[i].Err.Error() {
+			t.Fatalf("quarantine entry %d: batched %v, stepped %v", i, bq[i], sq[i])
 		}
-		if err := plain.Step(ev); err != nil {
-			t.Fatalf("%v: %v", ev, err)
-		}
-	}
-	if got := e.Stats().Coalesced; got != 1 {
-		t.Fatalf("coalesced %d ticks, want exactly 1", got)
-	}
-	if e.StateFingerprint() != plain.StateFingerprint() {
-		t.Fatal("coalescing changed the final state")
-	}
-	if e.CoverFingerprint() != plain.CoverFingerprint() {
-		t.Fatal("coalescing changed the cover")
 	}
 }
 

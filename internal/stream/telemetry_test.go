@@ -89,7 +89,6 @@ func TestEngineTelemetryMirrorsStats(t *testing.T) {
 		{"stream.applied", int64(s.Applied)},
 		{"stream.rejected", int64(s.Rejected)},
 		{"stream.duplicates", int64(s.Duplicates)},
-		{"stream.coalesced", int64(s.Coalesced)},
 		{"stream.rebuilds", int64(s.Rebuilds)},
 		{"stream.fast_restores", int64(s.FastRestores)},
 		{"stream.elections", int64(s.Elections)},
@@ -129,7 +128,7 @@ func (w *syncCountingWAL) Sync() error {
 }
 
 // TestEngineSpansAndSyncWAL drives an engine with a clocked registry and
-// a syncable WAL: the wal_append, fsync, rebuild and election spans must
+// a syncable WAL: the wal_append, fsync and election spans must
 // record, and Sync must run once per WAL append (header included).
 func TestEngineSpansAndSyncWAL(t *testing.T) {
 	net, pos := testDeploy(t, 50, 6, 6, 1.6)

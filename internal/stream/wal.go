@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"dcc/internal/core"
 	"dcc/internal/geom"
@@ -97,7 +98,7 @@ type snapState struct {
 	ids       []graph.NodeID
 	dead      []bool
 	pos       []geom.Point
-	edges     []graph.Edge
+	adj       [][]int32 // the topology's neighbour lists
 }
 
 // snapDecoder is a cursor over the snapshot state bytes with uniform
@@ -210,10 +211,11 @@ func decodeSnapshot(payload []byte) (snapState, error) {
 		s.pos = append(s.pos, geom.Point{X: x, Y: y})
 	}
 	ne := d.count("edge", 2)
+	var edges []graph.Edge
 	for i := 0; i < ne && d.err == nil; i++ {
 		u := d.nodeID("edge endpoint")
 		v := d.nodeID("edge endpoint")
-		s.edges = append(s.edges, graph.Edge{U: u, V: v})
+		edges = append(edges, graph.Edge{U: u, V: v})
 	}
 	if d.err != nil {
 		return s, d.err
@@ -225,6 +227,10 @@ func decodeSnapshot(payload []byte) (snapState, error) {
 		if s.ids[i] <= s.ids[i-1] {
 			return s, fmt.Errorf("%w: universe ids not strictly increasing", ErrCorruptSnapshot)
 		}
+	}
+	var err error
+	if s.adj, err = adjacencyOf(s.ids, edges); err != nil {
+		return s, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
 	return s, nil
 }
@@ -290,14 +296,11 @@ func Recover(net core.Network, cfg Config, snapshot, wal io.Reader) (*Engine, Re
 			return nil, info, fmt.Errorf("%w: snapshot taken under tau=%d seed=%d radius=%v",
 				ErrConfigMismatch, s.tau, s.seed, s.radius)
 		}
-		if !sameNodeList(s.boundary, e.boundarySorted) || !sameCycles(s.cycles, e.cycles) {
+		if !slices.Equal(s.boundary, e.boundarySorted) || !slices.EqualFunc(s.cycles, e.cycles, slices.Equal) {
 			return nil, info, fmt.Errorf("%w: snapshot boundary structure differs from the genesis network",
 				ErrConfigMismatch)
 		}
-		t := e.topo
-		t.ids, t.pos, t.dead, t.edges = s.ids, s.pos, s.dead, s.edges
-		t.rebuild()
-		e.stats.Rebuilds-- // installation is not topology churn
+		e.topo.install(s)
 		e.watermark = s.watermark
 		e.coverStale = true
 		info.FromSnapshot = true
@@ -389,16 +392,4 @@ func (e *Engine) replayWAL(rr *trace.RecordReader, info *RecoveryInfo) error {
 		}
 		info.Replayed++
 	}
-}
-
-func sameCycles(a, b [][]graph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !sameNodeList(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -2,10 +2,14 @@ package stream
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"dcc/internal/core"
+	"dcc/internal/graph"
 	"dcc/internal/trace"
 )
 
@@ -391,6 +395,55 @@ func TestSnapshotBoundaryMismatch(t *testing.T) {
 	ocfg := Config{Tau: 3, Seed: 2, Positions: opos}
 	if _, _, err := Recover(other, ocfg, bytes.NewReader(snap.Bytes()), nil); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("foreign genesis accepted: %v", err)
+	}
+}
+
+// TestSnapshotRejectsMalformedEdges: a snapshot whose checksum holds but
+// whose universe edge list is not normalized, strictly (U,V)-ascending and
+// within the universe is refused as corrupt, never installed.
+func TestSnapshotRejectsMalformedEdges(t *testing.T) {
+	net, pos := testDeploy(t, 101, 5, 5, 1.6)
+	cfg := Config{Tau: 3, Seed: 2, Positions: pos}
+	e, _, _, _ := walRun(t, net, cfg, 64, 5)
+	appendEdges := func(b []byte, es []graph.Edge) []byte {
+		b = binary.AppendUvarint(b, uint64(len(es)))
+		for _, ed := range es {
+			b = binary.AppendUvarint(b, uint64(ed.U))
+			b = binary.AppendUvarint(b, uint64(ed.V))
+		}
+		return b
+	}
+	// The state bytes end with the universe edge list.
+	edges := e.topo.edges(false)
+	state := e.stateBytes()
+	head := state[:len(state)-len(appendEdges(nil, edges))]
+	snapshot := func(es []graph.Edge) *bytes.Reader {
+		st := appendEdges(slices.Clone(head), es)
+		sum := sha256.Sum256(st)
+		payload := append(append(slices.Clone(snapMagic), st...), sum[:]...)
+		var buf bytes.Buffer
+		if _, err := trace.WriteRecord(&buf, payload); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.NewReader(buf.Bytes())
+	}
+	if _, _, err := Recover(net, cfg, snapshot(edges), nil); err != nil {
+		t.Fatalf("re-encoded snapshot refused: %v", err)
+	}
+	a, b := edges[0], edges[1]
+	for _, tc := range []struct {
+		name  string
+		edges []graph.Edge
+	}{
+		{"reversed", []graph.Edge{{U: a.V, V: a.U}}},
+		{"self-loop", []graph.Edge{{U: a.U, V: a.U}}},
+		{"unsorted", []graph.Edge{b, a}},
+		{"duplicate", []graph.Edge{a, a}},
+		{"outside the universe", []graph.Edge{{U: a.U, V: 99999}}},
+	} {
+		if _, _, err := Recover(net, cfg, snapshot(tc.edges), nil); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("%s edge list: err = %v, want ErrCorruptSnapshot", tc.name, err)
+		}
 	}
 }
 

@@ -95,10 +95,15 @@ go test -short -race -tags dccdebug -run '^TestChaosMatrix$' ./internal/dist
 echo '== streaming chaos smoke (race + deep assertions)'
 # The event-stream chaos harness: crash-restart at seeded WAL offsets with
 # producer redelivery, torn snapshots, and the WAL mutation matrix, plus
-# the per-event convergence suite and the replaying election's
-# differential test, with the dccdebug memo cross-checks and the replay
-# oracle (every replayed election re-run without its trace) armed.
-go test -short -race -tags dccdebug -run '^TestStreamChaosMatrix$|^TestEngineDifferentialConvergence$' ./internal/stream
+# the per-event convergence suite, the recorded per-event fingerprints of
+# fixed streams, batched-versus-stepped rejection, the in-place topology's
+# live-graph constructor and the replaying election's differential test,
+# with the dccdebug memo cross-checks, the topology oracle (neighbour
+# lists checked after every edit, live graphs against a Builder build) and
+# the replay oracle (every replayed election re-run without its trace)
+# armed.
+go test -short -race -tags dccdebug -run '^TestStreamChaosMatrix$|^TestEngineDifferentialConvergence$|^TestTopologyGolden$|^TestEngineBatchedRejectsAsStepped$' ./internal/stream
+go test -short -race -tags dccdebug -run '^TestLiveInducedMatchesMaterialize$' ./internal/graph
 go test -short -race -tags dccdebug -run '^TestReplayMatchesCanonical$' ./internal/core
 
 echo '== telemetry byte-identity'
