@@ -459,8 +459,8 @@ func (d *Deployment) AchievableTau(maxTau int) (int, error) {
 type ScheduleOptions struct {
 	// Seed drives randomized choices.
 	Seed int64
-	// Parallel selects the MIS round engine instead of sequential
-	// deletion.
+	// Parallel selects the MIS round engine, ScheduleDCCDistributed's
+	// election run centrally, instead of sequential deletion.
 	Parallel bool
 	// Workers caps concurrency in parallel mode (0 = all CPUs, 1 =
 	// sequential; output is identical for any value).

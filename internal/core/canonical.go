@@ -9,10 +9,10 @@ import (
 	"dcc/internal/vpt"
 )
 
-// The canonical scheduling engine. Sequential and Parallel shuffle their
-// work orders from a live rand.Rand, so two runs over the same topology
-// agree only if they replay the same deletion history — which a streaming
-// engine that crashes, recovers, and batches events cannot promise.
+// The canonical scheduling engine. Sequential shuffles its work order
+// from a live rand.Rand, so two runs over the same topology agree only if
+// they replay the same deletion history — which a streaming engine that
+// crashes, recovers, and batches events cannot promise.
 // Canonical removes the history: the election's FIFO queue starts with the
 // internal nodes in increasing (priority, ID) order, where the per-node
 // priorities are a pure function of (seed, node ID), and a dirtied node
@@ -26,8 +26,8 @@ import (
 // streamCanonicalPriority is the DeriveSeed stream of the canonical
 // engine's per-node deletion priorities (the node ID rides in the run
 // slot). The value spells "cano" in ASCII and stays far above the
-// experiment stream table in internal/experiments/streams.go, next to
-// streamBiasedShuffle ("bias"); TestStreamRegistry pins the separation.
+// experiment stream table in internal/experiments/streams.go;
+// TestStreamRegistry pins the separation.
 const streamCanonicalPriority uint64 = 0x63616e6f
 
 // CanonicalPriority returns the deletion priority of v under base seed

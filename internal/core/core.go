@@ -10,12 +10,14 @@
 // (Propositions 2/3) and from which no further node can be removed by the
 // void-preserving transformation.
 //
-// Two scheduling engines are provided:
+// Two election rules are provided:
 //
-//   - sequential maximal vertex deletion (the reference oracle), and
-//   - round-based parallel deletion via m-hop maximal independent sets,
-//     the structure the distributed runtime (internal/dist) realises with
-//     real message passing.
+//   - the greedy one-node-at-a-time election (Sequential, Canonical,
+//     Rotate and the streaming engine's replay), the reference oracle; and
+//   - round-based parallel deletion of m-hop independent sets elected by
+//     hashed bids (Bid), the rule the distributed runtime (internal/dist)
+//     runs with real message passing: a fault-free distributed run deletes
+//     what Parallel deletes, in the same order.
 package core
 
 import (
@@ -154,8 +156,8 @@ const (
 	// Sequential deletes one locally-deletable node at a time (reference
 	// oracle for the distributed algorithm).
 	Sequential Mode = iota + 1
-	// Parallel deletes an m-hop maximal independent set of candidates per
-	// round — the structure of the paper's distributed algorithm.
+	// Parallel deletes an m-hop independent set of candidates per round,
+	// elected by the distributed protocol's hashed bids (see Bid).
 	Parallel
 	// Canonical tests the nodes first in an order derived from (Seed,
 	// node ID) alone, dirtied nodes rejoining at the back in ID order,
@@ -169,7 +171,7 @@ const (
 type Options struct {
 	// Tau is the confine size (≥ 3).
 	Tau int
-	// Seed drives all randomized choices (node order, MIS priorities).
+	// Seed drives the node order and Parallel's round bids (RoundBid).
 	Seed int64
 	// Mode selects the engine; default Sequential.
 	Mode Mode
@@ -279,14 +281,14 @@ func scheduleSequential(net Network, opts Options) (Result, error) {
 // fifoQueue is the node order of the greedy election over a fixed set of
 // candidates, the nodes it was seeded with, and the one queue every
 // one-node-at-a-time engine runs: nodes are tested in their initial order
-// (a seeded shuffle for Sequential, duty then shuffle for Rotate,
-// (CanonicalPriority, ID) for Canonical), and dirtied nodes rejoin at the
-// back. Pop returns the next pending candidate (ok = false once none is
-// left) and marks it not-pending; Push re-enqueues a candidate and is a
-// no-op while that candidate is still pending, so a node is tested at most
-// once per dirtying. Pushing a node outside the candidate set (a boundary
-// node) is a no-op too. Push reports whether it enqueued: whether the push
-// created a queue entry.
+// (a seeded shuffle for Sequential, (CanonicalPriority, ID) for Canonical,
+// duty and then that canonical order for Rotate), and dirtied nodes rejoin
+// at the back. Pop returns the next pending candidate (ok = false once
+// none is left) and marks it not-pending; Push re-enqueues a candidate and
+// is a no-op while that candidate is still pending, so a node is tested at
+// most once per dirtying. Pushing a node outside the candidate set (a
+// boundary node) is a no-op too. Push reports whether it enqueued: whether
+// the push created a queue entry.
 type fifoQueue struct {
 	q       []graph.NodeID
 	pending map[graph.NodeID]bool // key present ⇔ candidate
@@ -437,22 +439,51 @@ func cacheVerdicts(cache *vpt.Cache, toTest []graph.NodeID, workers int) {
 	}
 }
 
+// Bid is a candidate's bid in one round of the m-hop MIS election that
+// Parallel runs centrally and internal/dist runs by flooding bids m−1 hops:
+// a candidate wins when no candidate within m−1 hops of the live graph
+// outbids it, so winners are pairwise ≥ m hops apart (§V-B).
+type Bid struct {
+	Priority uint64
+	Node     graph.NodeID
+}
+
+// RoundBid returns v's bid in the 1-based election round under base seed
+// seed, a pure function of the three.
+func RoundBid(seed int64, v graph.NodeID, round int) Bid {
+	return Bid{Priority: HashPriority(uint64(seed), uint64(v), uint64(round)), Node: v}
+}
+
+// Beats reports whether a outbids b: the higher priority wins, and the
+// higher node ID breaks a tie.
+func (a Bid) Beats(b Bid) bool {
+	if a.Priority != b.Priority {
+		return a.Priority > b.Priority
+	}
+	return a.Node > b.Node
+}
+
+// HashPriority derives RoundBid's stable per-(seed, node, round)
+// priority; internal/dist also draws its seeded partition sides from it.
+func HashPriority(seed, node, round uint64) uint64 {
+	return runner.SplitMix64(seed*0x100000001b3 ^ node*0x9e3779b97f4a7c15 ^ round*0x85ebca77c2b2ae63)
+}
+
 func scheduleParallel(net Network, opts Options) (Result, error) {
-	rng := rand.New(rand.NewSource(opts.Seed))
 	cache := vpt.NewCache(net.G, opts.Tau)
 	cache.Instrument(opts.Telemetry)
 	view := cache.View()
 	m := vpt.IndependenceRadius(opts.Tau)
 	scratch := graph.NewScratch(net.G)
+	candRound := make([]int, net.G.NumNodes()) // by base index: last round as a candidate
 
 	// The cache is the record of verdicts. Each round re-tests the internal
-	// nodes the last Commit returned (every internal node at the start),
-	// in increasing ID order, and reads the candidates among them from the
-	// cache. No other node can be one: a candidate the last round did not
-	// select was blocked within m−1 = k hops of a selected node, so Commit
-	// returned it, and every node Commit did not return keeps the "no" it
-	// had.
-	toTest := net.InternalNodes()
+	// nodes the last Commit returned (every internal node at the start), in
+	// increasing ID order; every other live node keeps the verdict it had.
+	// The candidates are all live internal nodes whose verdict is
+	// "deletable", not only re-tested ones: a candidate can lose to a rival
+	// that does not win either, and then lie outside every winner's k-ball.
+	internal, toTest := net.InternalNodes(), net.InternalNodes()
 	var deleted []graph.NodeID
 	var stats Stats
 	for {
@@ -460,7 +491,7 @@ func scheduleParallel(net Network, opts Options) (Result, error) {
 		stats.Tests += len(toTest)
 
 		var candidates []graph.NodeID
-		for _, v := range toTest {
+		for _, v := range internal {
 			if x, ok := cache.Cached(v); ok && x.Deletable() {
 				candidates = append(candidates, v)
 			}
@@ -469,24 +500,24 @@ func scheduleParallel(net Network, opts Options) (Result, error) {
 			break
 		}
 		stats.Rounds++
-
-		// Random-priority greedy m-hop MIS: process candidates in a random
-		// order; select one if no already-selected node is within m−1 hops
-		// (pairwise distance ≥ m ⇒ independent tests, §V-B).
-		rng.Shuffle(len(candidates), func(i, j int) {
-			candidates[i], candidates[j] = candidates[j], candidates[i]
-		})
-		blocked := make(map[graph.NodeID]bool)
-		var selected []graph.NodeID
+		round := stats.Rounds
 		for _, v := range candidates {
-			if blocked[v] {
-				continue
+			i, _ := net.G.IndexOf(v)
+			candRound[i] = round
+		}
+
+		// The distributed protocol's election (see Bid): the winners, in
+		// increasing ID order, are pairwise ≥ m hops apart (§V-B).
+		var selected []graph.NodeID
+	bidding:
+		for _, v := range candidates {
+			own := RoundBid(opts.Seed, v, round)
+			for _, j := range view.KHopBallIndices(v, m-1, scratch) {
+				if candRound[j] == round && RoundBid(opts.Seed, net.G.NodeAt(int(j)), round).Beats(own) {
+					continue bidding
+				}
 			}
 			selected = append(selected, v)
-			blocked[v] = true
-			for _, w := range view.KHopBall(v, m-1, scratch) {
-				blocked[w] = true
-			}
 		}
 
 		// Delete the independent set simultaneously; Commit dirties every
@@ -514,7 +545,7 @@ func scheduleParallel(net Network, opts Options) (Result, error) {
 // of at least AchievableTau, VerifyConfine. The local test is sufficient
 // for global deletability but not necessary, so a kept node can be
 // globally redundant: over FuzzPublicSchedule's input decoder (n 20–120,
-// τ 3–7), 11 sequential and 8 parallel of 149 schedules at τ ≥
+// τ 3–7), 10 sequential and 11 parallel of 156 schedules at τ ≥
 // AchievableTau failed this check.
 func VerifyNonRedundant(net Network, final *graph.Graph, tau int) (bool, graph.NodeID, error) {
 	for _, v := range final.Nodes() {

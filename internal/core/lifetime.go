@@ -1,21 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"dcc/internal/graph"
-	"dcc/internal/runner"
 	"dcc/internal/vpt"
 )
-
-// streamBiasedShuffle is the DeriveSeed stream of the duty-biased
-// scheduler's tie-breaking shuffle (one derivation per rotation epoch; the
-// epoch number rides in the run slot). The value spells "bias" in ASCII and
-// stays far away from the experiment stream table in
-// internal/experiments/streams.go.
-const streamBiasedShuffle uint64 = 0x62696173
 
 // ThinEdges applies the edge-deletion operator of the void-preserving
 // transformation (Definition 5 covers both vertices and edges): it removes
@@ -74,10 +67,9 @@ type RotationResult struct {
 // while the rest sleep; across epochs duty is shifted to the nodes that
 // have worked the least so far, extending network lifetime.
 //
-// Rotation biases the deletion order — nodes with higher accumulated duty
-// are offered for deletion first — so the scheduler (which deletes
-// greedily) preferentially retires tired nodes while the coverage
-// guarantee of every epoch is identical to a fresh Schedule run.
+// Rotation biases the deletion order — higher accumulated duty first, then
+// canonical order — so the greedy scheduler preferentially retires tired
+// nodes while every epoch's coverage guarantee equals a fresh Schedule's.
 func Rotate(net Network, opts Options, epochs int) ([]RotationResult, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
@@ -88,7 +80,7 @@ func Rotate(net Network, opts Options, epochs int) ([]RotationResult, error) {
 	duty := make(map[graph.NodeID]int, net.G.NumNodes())
 	var out []RotationResult
 	for epoch := 1; epoch <= epochs; epoch++ {
-		res, err := scheduleBiased(net, opts, duty, int64(epoch))
+		res, err := scheduleBiased(net, opts, duty)
 		if err != nil {
 			return nil, err
 		}
@@ -104,19 +96,16 @@ func Rotate(net Network, opts Options, epochs int) ([]RotationResult, error) {
 	return out, nil
 }
 
-// scheduleBiased is the sequential engine with a duty-aware deletion order:
-// high-duty nodes are tested (and thus deleted) first, ties broken by a
-// seeded shuffle.
-func scheduleBiased(net Network, opts Options, duty map[graph.NodeID]int, salt int64) (Result, error) {
+// scheduleBiased is the greedy election on a duty-aware order: the
+// canonical queue's (CanonicalPriority, ID) order, stable-sorted by
+// descending duty, so high-duty nodes are tested (and thus deleted) first.
+func scheduleBiased(net Network, opts Options, duty map[graph.NodeID]int) (Result, error) {
 	if opts.Tau < 3 {
 		return Result{}, fmt.Errorf("core: tau %d: %w", opts.Tau, ErrTauTooSmall)
 	}
-	rng := rand.New(rand.NewSource(runner.DeriveSeed(opts.Seed, streamBiasedShuffle, int(salt))))
 	cache := vpt.NewCache(net.G, opts.Tau)
-	order := net.InternalNodes()
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	sort.SliceStable(order, func(i, j int) bool {
-		return duty[order[i]] > duty[order[j]]
-	})
-	return electResult(net, cache, newFIFOQueue(order)), nil
+	cache.Instrument(opts.Telemetry)
+	q := newCanonicalQueue(opts.Seed, net.InternalNodes())
+	slices.SortStableFunc(q.q, func(a, b graph.NodeID) int { return cmp.Compare(duty[b], duty[a]) })
+	return electResult(net, cache, q), nil
 }

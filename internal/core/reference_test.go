@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,18 +17,17 @@ import (
 // This file pins the byte-identical acceptance criterion of the incremental
 // deletability engine: the cache-backed schedulers must produce exactly the
 // Result the pre-cache engines produced. The reference engines below are
-// verbatim reimplementations of the old rebuild-the-graph-per-deletion code
-// paths (see git history); they consume the same rng in the same order, so
-// any divergence — in the final graph, the deletion order, or the stats —
-// is a real behavioural change, not seed drift.
+// reimplementations of the rebuild-the-graph-per-deletion code paths (see
+// git history), each stating its election order independently of the
+// engine under test, so any divergence — in the final graph, the deletion
+// order, or the stats — is a real behavioural change, not seed drift.
 
-func referenceSequential(net Network, opts Options) Result {
-	rng := rand.New(rand.NewSource(opts.Seed))
+// referenceSequential is the greedy one-node-at-a-time election with the
+// initial test order queue (consumed).
+func referenceSequential(net Network, opts Options, queue []graph.NodeID) Result {
 	g := net.G
 	k := vpt.NeighborhoodRadius(opts.Tau)
 
-	queue := net.InternalNodes()
-	rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
 	inQueue := make(map[graph.NodeID]bool, len(queue))
 	for _, v := range queue {
 		inQueue[v] = true
@@ -58,8 +59,10 @@ func referenceSequential(net Network, opts Options) Result {
 	return finishResult(net, g, deleted, stats)
 }
 
+// referenceParallel is the MIS round engine: each round elects the
+// candidates whose RoundBid no candidate within m−1 hops beats, on a graph
+// rebuilt per round.
 func referenceParallel(net Network, opts Options) Result {
-	rng := rand.New(rand.NewSource(opts.Seed))
 	g := net.G
 	k := vpt.NeighborhoodRadius(opts.Tau)
 	m := vpt.IndependenceRadius(opts.Tau)
@@ -100,19 +103,20 @@ func referenceParallel(net Network, opts Options) Result {
 		}
 		stats.Rounds++
 
-		rng.Shuffle(len(candidates), func(i, j int) {
-			candidates[i], candidates[j] = candidates[j], candidates[i]
-		})
-		blocked := make(map[graph.NodeID]bool)
+		bids := make(map[graph.NodeID]Bid, len(candidates))
+		for _, v := range candidates {
+			bids[v] = RoundBid(opts.Seed, v, stats.Rounds)
+		}
 		var selected []graph.NodeID
 		for _, v := range candidates {
-			if blocked[v] {
-				continue
-			}
-			selected = append(selected, v)
-			blocked[v] = true
+			won := true
 			for _, w := range g.KHopNeighbors(v, m-1) {
-				blocked[w] = true
+				if rival, ok := bids[w]; ok && rival.Beats(bids[v]) {
+					won = false
+				}
+			}
+			if won {
+				selected = append(selected, v)
 			}
 		}
 
@@ -165,7 +169,10 @@ func TestSequentialMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("tau=%d seed=%d: %v", tau, seed, err)
 			}
-			want := referenceSequential(net, Options{Tau: tau, Seed: seed})
+			order := net.InternalNodes()
+			rng := rand.New(rand.NewSource(seed))
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			want := referenceSequential(net, Options{Tau: tau, Seed: seed}, order)
 			compareResults(t, "sequential", got, want)
 		}
 	}
@@ -208,55 +215,25 @@ func TestParallelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBiasedMatchesReference pins Rotate's duty-biased engine the same way.
+// TestBiasedMatchesReference pins Rotate's duty-biased engine the same way:
+// its order is descending duty, then (CanonicalPriority, ID).
 func TestBiasedMatchesReference(t *testing.T) {
 	net := denseNet(t, 5, 6, 6, 1.7)
 	duty := map[graph.NodeID]int{7: 3, 8: 1, 14: 2}
-	got, err := scheduleBiased(net, Options{Tau: 4, Seed: 5}, duty, 2)
+	opts := Options{Tau: 4, Seed: 5}
+	got, err := scheduleBiased(net, opts, duty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := referenceBiased(net, Options{Tau: 4, Seed: 5}, duty, 2)
-	compareResults(t, "biased", got, want)
-}
-
-func referenceBiased(net Network, opts Options, duty map[graph.NodeID]int, salt int64) Result {
-	rng := rand.New(rand.NewSource(runner.DeriveSeed(opts.Seed, streamBiasedShuffle, int(salt))))
-	g := net.G
-	k := vpt.NeighborhoodRadius(opts.Tau)
-
-	queue := net.InternalNodes()
-	rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
-	sort.SliceStable(queue, func(i, j int) bool {
-		return duty[queue[i]] > duty[queue[j]]
+	order := net.InternalNodes()
+	slices.SortFunc(order, func(a, b graph.NodeID) int {
+		if c := cmp.Compare(duty[b], duty[a]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(CanonicalPriority(opts.Seed, a), CanonicalPriority(opts.Seed, b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	inQueue := make(map[graph.NodeID]bool, len(queue))
-	for _, v := range queue {
-		inQueue[v] = true
-	}
-
-	var deleted []graph.NodeID
-	stats := Stats{Rounds: 1}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		inQueue[v] = false
-		if !g.HasNode(v) {
-			continue
-		}
-		stats.Tests++
-		if !vpt.VertexDeletable(g, v, opts.Tau) {
-			continue
-		}
-		affected := g.KHopNeighbors(v, k)
-		g = g.DeleteVertices([]graph.NodeID{v})
-		deleted = append(deleted, v)
-		for _, w := range affected {
-			if !net.Boundary[w] && g.HasNode(w) && !inQueue[w] {
-				inQueue[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	return finishResult(net, g, deleted, stats)
+	compareResults(t, "biased", got, referenceSequential(net, opts, order))
 }

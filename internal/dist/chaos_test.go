@@ -2,9 +2,12 @@ package dist
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"dcc/internal/core"
+	"dcc/internal/geom"
 	"dcc/internal/graph"
 )
 
@@ -175,5 +178,84 @@ func TestChaosMatrix(t *testing.T) {
 	if noneViolations == 0 {
 		t.Fatal("unreliable sweep at loss ≥ 0.1 produced no independence violations; " +
 			"the harness cannot reproduce the documented gap")
+	}
+}
+
+// ringNet places n uniform internal nodes in the side×side square inside a
+// boundary ring spaced 0.5 apart, linked at radius rc.
+func ringNet(t *testing.T, seed int64, n int, side, rc float64) core.Network {
+	t.Helper()
+	rect := geom.Square(side)
+	ring := geom.RingPoints(rect, 0.5)
+	pts := append(ring, geom.UniformPoints(rand.New(rand.NewSource(seed)), n, rect)...)
+	cycle := make([]graph.NodeID, len(ring))
+	boundary := make(map[graph.NodeID]bool, len(ring))
+	for i := range ring {
+		cycle[i] = graph.NodeID(i)
+		boundary[cycle[i]] = true
+	}
+	net := core.Network{G: geom.UDG(pts, rc), Boundary: boundary, BoundaryCycles: [][]graph.NodeID{cycle}}
+	if err := net.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// TestParallelMatchesDistributed pins the protocol to its central form:
+// core.Schedule in Parallel mode elects by the same bids (core.RoundBid),
+// so a fault-free run must delete the same nodes in the same order, keep
+// the same graph, and count the same rounds and tests. AckFloods must
+// match on a lossless channel, and under loss whenever no sender gave up
+// (no withdrawal, no suspicion): its floods then delivered everything a
+// lossless run delivers, discovery included.
+func TestParallelMatchesDistributed(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	modes := []struct {
+		name string
+		loss float64
+		rel  Reliability
+	}{
+		{"none", 0, ReliabilityNone},
+		{"ack", 0, AckFloods},
+		{"ack/loss=0.05", 0.05, AckFloods},
+		{"ack/loss=0.1", 0.1, AckFloods},
+	}
+	lossy := 0
+	for _, seed := range seeds {
+		net := ringNet(t, seed, 112, 9, 1.4)
+		for _, tau := range []int{3, 4, 5} {
+			want, err := core.Schedule(net, core.Options{Tau: tau, Seed: seed, Mode: core.Parallel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, md := range modes {
+				got, err := Run(net, Config{Tau: tau, Seed: seed, Loss: md.loss, Reliability: md.rel})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if md.loss > 0 {
+					if got.Stats.Withdrawals > 0 || got.Stats.Suspicions > 0 {
+						continue
+					}
+					lossy++
+				}
+				name := fmt.Sprintf("seed=%d/tau=%d/%s", seed, tau, md.name)
+				switch {
+				case !reflect.DeepEqual(got.Deleted, want.Deleted):
+					t.Errorf("%s: deletion order differs\ndist:     %v\nparallel: %v", name, got.Deleted, want.Deleted)
+				case !reflect.DeepEqual(got.Final, want.Final) || !reflect.DeepEqual(got.KeptInternal, want.KeptInternal):
+					t.Errorf("%s: final graphs differ", name)
+				case got.Stats.Rounds != want.Stats.Rounds || got.Stats.Tests != want.Stats.Tests:
+					t.Errorf("%s: dist %d rounds and %d tests, parallel %d and %d",
+						name, got.Stats.Rounds, got.Stats.Tests, want.Stats.Rounds, want.Stats.Tests)
+				}
+			}
+		}
+	}
+	if lossy == 0 {
+		t.Fatal("no lossy AckFloods run finished without a withdrawal or suspicion")
 	}
 }

@@ -5,6 +5,7 @@ package dist
 import (
 	"fmt"
 
+	"dcc/internal/core"
 	"dcc/internal/graph"
 )
 
@@ -19,8 +20,8 @@ const debugChecks = true
 //   - winners are strictly sorted and were candidates;
 //   - winners are pairwise ≥ m hops apart, the independence radius at
 //     which simultaneous deletions are safe (§V-B);
-//   - each winner's hashed priority beats every rival candidate within
-//     m−1 hops, i.e. the election picked exactly the local maxima.
+//   - each winner's round bid (core.RoundBid) beats every rival candidate
+//     within m−1 hops, i.e. the election picked exactly the local maxima.
 //
 // cands is the effective electorate of the round (candidates minus
 // AckFloods withdrawals).
@@ -51,7 +52,7 @@ func (r *runtime) debugCheckWinners(cands, winners []graph.NodeID, superRound in
 	top := r.commTopology()
 	for _, w := range winners {
 		t := top.BFS(w, r.m-1)
-		own := candidate{origin: w, priority: hashPriority(uint64(r.cfg.Seed), uint64(w), uint64(superRound))}
+		own := core.RoundBid(r.cfg.Seed, w, superRound)
 		for _, o := range winners {
 			if o != w && t.Depth(o) >= 0 {
 				panic(fmt.Sprintf("dist debug: winners %d and %d are %d hops apart, want ≥ %d",
@@ -62,8 +63,7 @@ func (r *runtime) debugCheckWinners(cands, winners []graph.NodeID, superRound in
 			if c == w || t.Depth(c) < 0 {
 				continue
 			}
-			rival := candidate{origin: c, priority: hashPriority(uint64(r.cfg.Seed), uint64(c), uint64(superRound))}
-			if rival.wins(own) {
+			if core.RoundBid(r.cfg.Seed, c, superRound).Beats(own) {
 				panic(fmt.Sprintf("dist debug: winner %d is not locally maximal: candidate %d within %d hops outbids it",
 					w, c, r.m-1))
 			}

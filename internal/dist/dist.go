@@ -7,10 +7,11 @@
 //     node the connectivity among its k-hop neighbours (k = ⌈τ/2⌉).
 //  2. Redundancy testing — every internal node evaluates the void-
 //     preserving transformation on its local view.
-//  3. MIS election — deletable nodes draw random priorities and flood them
-//     m−1 hops (m = ⌈τ/2⌉+1); a candidate that hears no higher priority
+//  3. MIS election — deletable nodes flood their round bids (core.RoundBid)
+//     m−1 hops (m = ⌈τ/2⌉+1); a candidate that hears no stronger bid
 //     wins, which makes winners pairwise ≥ m hops apart, exactly the
-//     independence radius at which simultaneous deletions are safe.
+//     independence radius at which simultaneous deletions are safe. A
+//     fault-free run deletes what core.Parallel deletes, in order.
 //  4. Deletion — winners announce a DELETE that floods k hops so that
 //     affected nodes update their views, and the process iterates until no
 //     node anywhere is deletable.
@@ -22,8 +23,8 @@
 // per-(seed,node,round) hashed priorities, so a run is reproducible from
 // its Config alone.
 //
-// Delivery of the safety-critical CANDIDATE and DELETE floods is
-// selectable (Config.Reliability): the paper's bare fire-and-forget
+// Delivery of the protocol's floods (discovery gossip, CANDIDATE, DELETE)
+// is selectable (Config.Reliability): the paper's bare fire-and-forget
 // broadcasts, or a per-hop ACK/retransmit layer over sequenced v2 frames
 // that restores MIS independence under message loss (DESIGN.md §10).
 package dist
@@ -34,6 +35,7 @@ import (
 
 	"dcc/internal/core"
 	"dcc/internal/graph"
+	"dcc/internal/runner"
 	"dcc/internal/telemetry"
 	"dcc/internal/vpt"
 )
@@ -50,9 +52,9 @@ type Config struct {
 	// paper's documented limitation); AckFloods closes that gap by
 	// acknowledging the candidate and delete floods.
 	Loss float64
-	// Reliability selects the delivery guarantee of the CANDIDATE and
-	// DELETE floods: ReliabilityNone (zero value) reproduces the paper's
-	// bare floods, AckFloods adds per-hop ACK/retransmit.
+	// Reliability selects the delivery guarantee of the floods:
+	// ReliabilityNone (zero value) reproduces the paper's bare floods,
+	// AckFloods adds per-hop ACK/retransmit.
 	Reliability Reliability
 	// MaxSuperRounds bounds the deletion iterations (0 = number of nodes).
 	MaxSuperRounds int
@@ -134,7 +136,7 @@ func Run(net core.Network, cfg Config) (Result, error) {
 	if cfg.Tau < 3 {
 		return Result{}, fmt.Errorf("dist: tau %d: %w", cfg.Tau, core.ErrTauTooSmall)
 	}
-	if cfg.Loss < 0 || cfg.Loss >= 1 {
+	if !(cfg.Loss >= 0 && cfg.Loss < 1) {
 		return Result{}, fmt.Errorf("dist: loss %v outside [0,1)", cfg.Loss)
 	}
 	if cfg.Reliability != ReliabilityNone && cfg.Reliability != AckFloods {
@@ -334,7 +336,8 @@ func (r *runtime) broadcastRound(frames map[graph.NodeID][]Packet, onPacket func
 }
 
 // discover runs k rounds of adjacency gossip so every node learns the
-// connectivity among its k-hop neighbours.
+// connectivity among its k-hop neighbours; AckFloods acknowledges it, as
+// a view missing a record can pass the deletability test falsely.
 func (r *runtime) discover() {
 	pending := make(map[graph.NodeID][]Packet)
 	for _, v := range r.liveNodes() {
@@ -344,7 +347,7 @@ func (r *runtime) discover() {
 	for round := 0; round < r.k; round++ {
 		next := make(map[graph.NodeID][]Packet)
 		delivered := false
-		r.broadcastRound(pending, func(_, to graph.NodeID, p Packet) {
+		r.flood(pending, func(_, to graph.NodeID, p Packet) {
 			delivered = true
 			if p.Kind != MsgHello {
 				return
@@ -358,20 +361,6 @@ func (r *runtime) discover() {
 		}
 		pending = next
 	}
-}
-
-// candidate is one node's MIS bid.
-type candidate struct {
-	origin   graph.NodeID
-	priority uint64
-}
-
-// wins reports whether a beats b (higher priority, ID as tie-break).
-func (a candidate) wins(b candidate) bool {
-	if a.priority != b.priority {
-		return a.priority > b.priority
-	}
-	return a.origin > b.origin
 }
 
 func (r *runtime) mainLoop() {
@@ -673,24 +662,20 @@ func (r *runtime) evaluateCandidates() []graph.NodeID {
 	return cands
 }
 
-// electMIS floods candidate priorities m−1 hops and returns the local
-// winners — candidates that heard no stronger bid — plus the effective
+// electMIS floods the candidates' round bids m−1 hops and returns the
+// local winners — candidates that heard no stronger bid — plus the effective
 // electorate (candidates minus withdrawals). Under AckFloods, a candidate
 // whose own first-hop broadcast could not be fully acknowledged withdraws
 // for this super-round: its bid provably failed to reach its whole 1-hop
 // neighbourhood, so self-electing would risk a non-independent deletion.
 func (r *runtime) electMIS(cands []graph.NodeID, superRound int) (winners, elected []graph.NodeID) {
-	bids := make(map[graph.NodeID]candidate, len(cands))
-	heard := make(map[graph.NodeID]map[graph.NodeID]candidate) // node -> origin -> bid
+	bids := make(map[graph.NodeID]core.Bid, len(cands))
+	heard := make(map[graph.NodeID]map[graph.NodeID]core.Bid) // node -> origin -> bid
 	withdrawn := make(map[graph.NodeID]bool)
 	pending := make(map[graph.NodeID][]Packet)
 	for _, v := range cands {
-		bid := candidate{
-			origin:   v,
-			priority: hashPriority(uint64(r.cfg.Seed), uint64(v), uint64(superRound)),
-		}
-		bids[v] = bid
-		pending[v] = []Packet{{Kind: MsgCandidate, Origin: v, Priority: bid.priority}}
+		bids[v] = core.RoundBid(r.cfg.Seed, v, superRound)
+		pending[v] = []Packet{{Kind: MsgCandidate, Origin: v, Priority: bids[v].Priority}}
 	}
 	for hop := 0; hop < r.m-1; hop++ {
 		next := make(map[graph.NodeID][]Packet)
@@ -702,13 +687,13 @@ func (r *runtime) electMIS(cands []graph.NodeID, superRound int) (winners, elect
 			}
 			m, ok := heard[to]
 			if !ok {
-				m = make(map[graph.NodeID]candidate)
+				m = make(map[graph.NodeID]core.Bid)
 				heard[to] = m
 			}
 			if _, seen := m[p.Origin]; seen {
 				return
 			}
-			m[p.Origin] = candidate{origin: p.Origin, priority: p.Priority}
+			m[p.Origin] = core.Bid{Priority: p.Priority, Node: p.Origin}
 			next[to] = append(next[to], p)
 		})
 		if hop == 0 {
@@ -735,7 +720,7 @@ func (r *runtime) electMIS(cands []graph.NodeID, superRound int) (winners, elect
 		lost := false
 		//lint:ordered ∃-reduction: "did any heard bid beat mine" is order-independent
 		for _, other := range heard[v] {
-			if other.wins(own) {
+			if other.Beats(own) {
 				lost = true
 				break
 			}
@@ -831,19 +816,11 @@ type splitMix struct{ state uint64 }
 func newSplitMix(seed uint64) *splitMix { return &splitMix{state: seed} }
 
 func (s *splitMix) next() uint64 {
+	z := runner.SplitMix64(s.state)
 	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }
 
 func (s *splitMix) float64() float64 {
 	return float64(s.next()>>11) / float64(1<<53)
-}
-
-// hashPriority derives a stable per-(seed, node, round) MIS priority.
-func hashPriority(seed, node, round uint64) uint64 {
-	sm := newSplitMix(seed*0x100000001b3 ^ node*0x9e3779b97f4a7c15 ^ round*0x85ebca77c2b2ae63)
-	return sm.next()
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -54,6 +55,9 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Run(net, Config{Tau: 3, Loss: 1.0}); err == nil {
 		t.Fatal("loss=1 accepted")
+	}
+	if _, err := Run(net, Config{Tau: 3, Loss: math.NaN()}); err == nil {
+		t.Fatal("loss=NaN accepted")
 	}
 	if _, err := Run(core.Network{}, Config{Tau: 3}); err == nil {
 		t.Fatal("invalid network accepted")
@@ -224,6 +228,10 @@ func TestRunRejectsBadFaultPlan(t *testing.T) {
 			Bursty: &GilbertElliott{PGoodToBad: 0.1, PBadToGood: 0.5, LossBad: 1.0}}}},
 		{"bursty transition > 1", Config{Tau: 3, Faults: &FaultPlan{
 			Bursty: &GilbertElliott{PGoodToBad: 1.5, PBadToGood: 0.5}}}},
+		{"bursty transition NaN", Config{Tau: 3, Faults: &FaultPlan{
+			Bursty: &GilbertElliott{PGoodToBad: math.NaN(), PBadToGood: 0.5}}}},
+		{"bursty loss NaN", Config{Tau: 3, Faults: &FaultPlan{
+			Bursty: &GilbertElliott{PGoodToBad: 0.1, PBadToGood: 0.5, LossGood: math.NaN()}}}},
 		{"partition heals before it starts", Config{Tau: 3, Faults: &FaultPlan{
 			Partitions: []PartitionEvent{{At: 4, Heal: 2}}}}},
 		{"partition with unknown node", Config{Tau: 3, Faults: &FaultPlan{
@@ -583,22 +591,6 @@ func TestSplitMixDeterminism(t *testing.T) {
 		if x < 0 || x >= 1 {
 			t.Fatalf("float64 out of range: %v", x)
 		}
-	}
-}
-
-func TestHashPriorityVaries(t *testing.T) {
-	seen := make(map[uint64]bool)
-	for node := uint64(0); node < 50; node++ {
-		for round := uint64(1); round < 5; round++ {
-			p := hashPriority(1, node, round)
-			if seen[p] {
-				t.Fatalf("priority collision at node %d round %d", node, round)
-			}
-			seen[p] = true
-		}
-	}
-	if hashPriority(1, 3, 1) == hashPriority(2, 3, 1) {
-		t.Fatal("seed does not influence priority")
 	}
 }
 

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"sort"
 
+	"dcc/internal/core"
 	"dcc/internal/graph"
 )
 
-// Reliability selects the delivery guarantee of the CANDIDATE and DELETE
-// floods (the paper's safety-critical messages).
+// Reliability selects the delivery guarantee of the protocol's floods
+// (discovery gossip and the safety-critical CANDIDATE and DELETE).
 type Reliability int
 
 const (
@@ -16,11 +17,11 @@ const (
 	// message loss two MIS "winners" closer than m hops can delete
 	// simultaneously (the documented Theorem 5/6 gap).
 	ReliabilityNone Reliability = iota
-	// AckFloods adds per-hop ACK/retransmit to the CANDIDATE and DELETE
-	// floods: sequenced v2 frames, bounded retries with exponential round
-	// backoff, and candidate withdrawal when the origin's own first hop
-	// cannot be fully acknowledged. MIS independence then holds for any
-	// Loss < 1 (up to the retry bound, which the chaos harness pins).
+	// AckFloods adds per-hop ACK/retransmit to those floods: sequenced v2
+	// frames, bounded retries with exponential round backoff, and
+	// candidate withdrawal when the origin's own first hop cannot be fully
+	// acknowledged. MIS independence then holds for any Loss < 1 (up to
+	// the retry bound, which the chaos harness pins).
 	AckFloods
 )
 
@@ -75,7 +76,7 @@ type PartitionEvent struct {
 	At, Heal int
 	// SideA lists the nodes of one side explicitly. When nil, sides are
 	// drawn from the plan's SplitMix stream: side(v) =
-	// hashPriority(planSeed, v, event index) & 1.
+	// core.HashPriority(planSeed, v, event index) & 1.
 	SideA []graph.NodeID
 }
 
@@ -119,11 +120,11 @@ func (p *FaultPlan) validate(g *graph.Graph, iidLoss float64) error {
 		}{
 			{"PGoodToBad", ge.PGoodToBad}, {"PBadToGood", ge.PBadToGood},
 		} {
-			if pr.v < 0 || pr.v > 1 {
+			if !(pr.v >= 0 && pr.v <= 1) {
 				return fmt.Errorf("dist: Gilbert–Elliott %s %v outside [0,1]", pr.name, pr.v)
 			}
 		}
-		if ge.LossGood < 0 || ge.LossGood >= 1 || ge.LossBad < 0 || ge.LossBad >= 1 {
+		if !(ge.LossGood >= 0 && ge.LossGood < 1 && ge.LossBad >= 0 && ge.LossBad < 1) {
 			return fmt.Errorf("dist: Gilbert–Elliott loss probabilities (%v, %v) outside [0,1)",
 				ge.LossGood, ge.LossBad)
 		}
@@ -197,7 +198,7 @@ func newFaultState(plan FaultPlan, g *graph.Graph) *faultState {
 			}
 		} else {
 			for _, v := range g.Nodes() {
-				if hashPriority(uint64(plan.Seed)^0xa0761d6478bd642f, uint64(v), uint64(i))&1 == 0 {
+				if core.HashPriority(uint64(plan.Seed)^0xa0761d6478bd642f, uint64(v), uint64(i))&1 == 0 {
 					ps.sideA[v] = true
 				}
 			}

@@ -7,9 +7,10 @@ import (
 	"dcc/internal/graph"
 )
 
-// The reliability layer (Config.Reliability == AckFloods) wraps the
-// safety-critical CANDIDATE and DELETE floods in a per-hop
-// ACK/retransmit exchange:
+// The reliability layer (Config.Reliability == AckFloods) wraps every
+// flood of the protocol — the discovery gossip and the safety-critical
+// CANDIDATE and DELETE floods among them — in a per-hop ACK/retransmit
+// exchange:
 //
 //   - every data frame is a sequenced v2 frame; receivers deduplicate by
 //     (sender, seq) and acknowledge every copy they hear;

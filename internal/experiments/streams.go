@@ -12,10 +12,9 @@ package experiments
 // (TestSeedDerivationDisjoint checks all of them for Runs ≤ 10000).
 //
 // Values are iota-assigned, so uniqueness inside this block is structural;
-// the stream constants living outside this package
-// (core.streamBiasedShuffle = 0x62696173 and core.streamCanonicalPriority
-// = 0x63616e6f) are far above this range by construction, and
-// TestStreamRegistry pins the ceiling at the lower of the two.
+// the one stream constant living outside this package
+// (core.streamCanonicalPriority = 0x63616e6f) is far above this range by
+// construction, and TestStreamRegistry pins it as the ceiling.
 const (
 	streamFig2Deploy uint64 = iota + 1
 	streamFig2Schedule

@@ -9,11 +9,10 @@ import (
 	"unicode"
 )
 
-// streamBiasedShuffleValue mirrors core.streamBiasedShuffle, the lowest
-// stream constant living outside this registry (unexported there; the
-// other, core.streamCanonicalPriority = 0x63616e6f, sits above it). The
-// registry must stay far below both.
-const streamBiasedShuffleValue uint64 = 0x62696173
+// streamCanonicalPriorityValue mirrors core.streamCanonicalPriority, the
+// one stream constant living outside this registry (unexported there). The
+// registry must stay far below it.
+const streamCanonicalPriorityValue uint64 = 0x63616e6f
 
 // declaredStreams parses streams.go and returns the stream constant names
 // in declaration order — with iota+1 assignment, the i-th name has value
@@ -68,7 +67,7 @@ func kebab(constName string) string {
 // TestStreamRegistry holds streams.go to its invariants: every declared
 // stream constant is named in seedStreams under its kebab-case key with the
 // right value, values are unique and contiguous from 1, and the whole range
-// stays clear of the out-of-package biased-shuffle stream.
+// stays clear of the out-of-package canonical-priority stream.
 func TestStreamRegistry(t *testing.T) {
 	names := declaredStreams(t)
 	if len(names) != len(seedStreams) {
@@ -81,9 +80,9 @@ func TestStreamRegistry(t *testing.T) {
 			t.Errorf("stream value %d is shared by %q and %q", v, prev, key)
 		}
 		seen[v] = key
-		if v >= streamBiasedShuffleValue {
-			t.Errorf("stream %q (= %d) collides with the reserved range at core.streamBiasedShuffle (= %d)",
-				key, v, streamBiasedShuffleValue)
+		if v >= streamCanonicalPriorityValue {
+			t.Errorf("stream %q (= %d) collides with the reserved range at core.streamCanonicalPriority (= %d)",
+				key, v, streamCanonicalPriorityValue)
 		}
 	}
 	for i, name := range names {

@@ -169,16 +169,16 @@ type panicValue struct{ val any }
 // every stream the experiment harness uses for runs ≤ 10000), replacing
 // the earlier ad-hoc `seed + run*prime` offsets whose streams overlap.
 func DeriveSeed(base int64, stream uint64, run int) int64 {
-	x := splitmix64(uint64(base))
-	x = splitmix64(x ^ stream)
-	x = splitmix64(x ^ uint64(int64(run)))
+	x := SplitMix64(uint64(base))
+	x = SplitMix64(x ^ stream)
+	x = SplitMix64(x ^ uint64(int64(run)))
 	return int64(x)
 }
 
-// splitmix64 is the finalizer of the SplitMix64 generator (Steele et al.,
-// "Fast splittable pseudorandom number generators", OOPSLA 2014): a
-// bijective avalanche mix on 64 bits.
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is one step of the SplitMix64 generator (Steele et al.,
+// "Fast splittable pseudorandom number generators", OOPSLA 2014) from
+// state x: the golden-ratio increment, then a bijective avalanche mix.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB

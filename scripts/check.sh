@@ -89,8 +89,10 @@ go test -race -count=2 ./internal/runner
 echo '== chaos smoke (race + deep assertions)'
 # The reliability/fault-injection matrix under the race detector with the
 # dccdebug MIS-independence assertions armed — the combination neither
-# plain gate above covers. -short trims the matrix to a smoke-sized slice.
-go test -short -race -tags dccdebug -run '^TestChaosMatrix$' ./internal/dist
+# plain gate above covers — plus the differential test that pins fault-free
+# and give-up-free AckFloods runs to core.Parallel node for node. -short
+# trims both to a smoke-sized slice.
+go test -short -race -tags dccdebug -run '^TestChaosMatrix$|^TestParallelMatchesDistributed$' ./internal/dist
 
 echo '== streaming chaos smoke (race + deep assertions)'
 # The event-stream chaos harness: crash-restart at seeded WAL offsets with
