@@ -92,6 +92,26 @@ func TestSentinelErrorsWrapped(t *testing.T) {
 	}
 }
 
+// TestNilGraphArguments: the methods that take a reduced graph answer a
+// nil one instead of dereferencing it — VerifyConfine and ThinEdges with an
+// error, CoverageReport with the full deployment, the convention
+// scenario.Coverage documents.
+func TestNilGraphArguments(t *testing.T) {
+	dep, err := Deploy(DeployOptions{Nodes: 60, AvgDegree: 12, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dep.VerifyConfine(nil, 4); err == nil {
+		t.Error("VerifyConfine(nil) returned no error")
+	}
+	if _, _, err := dep.ThinEdges(nil, 4, 1); err == nil {
+		t.Error("ThinEdges(nil) returned no error")
+	}
+	if got, want := dep.CoverageReport(nil, 0), dep.CoverageReport(dep.G, 0); !reflect.DeepEqual(got, want) {
+		t.Errorf("CoverageReport(nil) = %+v, want the full deployment's %+v", got, want)
+	}
+}
+
 // TestDeriveSeedMirrorsRunner: the public DeriveSeed must be the same
 // derivation the internal experiment harness uses.
 func TestDeriveSeedMirrorsRunner(t *testing.T) {

@@ -511,7 +511,7 @@ func (d *Deployment) ScheduleHGC(seed int64) (HGCResult, error) {
 
 // ThinEdges removes redundant links from a scheduled coverage set using
 // the edge-deletion operator of the void-preserving transformation; the
-// τ-confine guarantee is preserved.
+// τ-confine guarantee is preserved. A nil graph returns an error.
 func (d *Deployment) ThinEdges(final *Graph, tau int, seed int64) (*Graph, []Edge, error) {
 	net, _, err := core.RepairBoundaries(d.Network())
 	if err != nil {
@@ -532,7 +532,8 @@ func (d *Deployment) Rotate(tau, epochs int, seed int64) ([]RotationResult, erro
 }
 
 // VerifyConfine checks the global cycle-partition criterion on a reduced
-// graph of this deployment; tau below 3 returns a wrapped ErrTauTooSmall.
+// graph of this deployment; tau below 3 returns a wrapped ErrTauTooSmall,
+// and a nil graph an error.
 func (d *Deployment) VerifyConfine(final *Graph, tau int) (bool, error) {
 	cyc := make([][]NodeID, 0, 1+len(d.InnerCycles))
 	cyc = append(cyc, d.OuterCycle)
@@ -546,13 +547,17 @@ func (d *Deployment) VerifyConfine(final *Graph, tau int) (bool, error) {
 func (d *Deployment) CoreArea() Rect { return d.Target.Shrink(d.Rc) }
 
 // CoverageReport measures ground-truth sensing coverage of the kept node
-// set over the core area at the given sampling resolution (0, or any value
-// that is not finite and positive, picks Rs/8).
+// set (a nil final means the full deployment) over the core area at the
+// given sampling resolution (0, or any value that is not finite and
+// positive, picks Rs/8).
 // Virtual repair nodes (no position) are ignored. Points inside obstacles
 // are exempt: obstacle interiors are not part of the monitored area.
 func (d *Deployment) CoverageReport(final *Graph, resolution float64) CoverageReport {
 	if !(resolution > 0) || math.IsInf(resolution, 1) {
 		resolution = d.Rs / 8
+	}
+	if final == nil {
+		final = d.G
 	}
 	var active []Point
 	for _, v := range final.Nodes() {

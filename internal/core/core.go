@@ -44,6 +44,10 @@ var ErrNoFeasibleTau = errors.New("core: no feasible confine size for the requir
 // void-preserving transformation is undefined). Match with errors.Is.
 var ErrTauTooSmall = errors.New("core: confine size below the minimum of 3")
 
+// errNilGraph reports a nil graph where a network or a reduced graph is
+// required.
+var errNilGraph = errors.New("core: nil graph")
+
 // Network is the graph-theoretic input of the scheduler.
 type Network struct {
 	// G is the connectivity graph.
@@ -59,7 +63,7 @@ type Network struct {
 // Validate checks structural consistency of the network description.
 func (n Network) Validate() error {
 	if n.G == nil {
-		return errors.New("core: nil graph")
+		return errNilGraph
 	}
 	if len(n.BoundaryCycles) == 0 {
 		return errors.New("core: no boundary cycles")
@@ -113,10 +117,13 @@ func BoundaryTarget(g *graph.Graph, boundaryCycles [][]graph.NodeID) (bitvec.Vec
 // VerifyConfine checks the global cycle-partition coverage criterion
 // (Propositions 2 and 3): the GF(2) sum of the boundary cycles must be
 // expressible as a sum of cycles of length ≤ tau in g. A tau below 3 is
-// rejected with a wrapped ErrTauTooSmall.
+// rejected with a wrapped ErrTauTooSmall, and a nil g with an error.
 func VerifyConfine(g *graph.Graph, boundaryCycles [][]graph.NodeID, tau int) (bool, error) {
 	if tau < 3 {
 		return false, fmt.Errorf("core: tau %d: %w", tau, ErrTauTooSmall)
+	}
+	if g == nil {
+		return false, errNilGraph
 	}
 	target, err := BoundaryTarget(g, boundaryCycles)
 	if err != nil {

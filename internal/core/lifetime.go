@@ -20,10 +20,14 @@ import (
 // coverage guarantee.
 //
 // Boundary-to-boundary edges are preserved (they may carry the boundary
-// cycles). The reduced graph is returned together with the removed edges.
+// cycles). The reduced graph is returned together with the removed edges;
+// a nil g is an error.
 func ThinEdges(net Network, g *graph.Graph, tau int, seed int64) (*graph.Graph, []graph.Edge, error) {
 	if tau < 3 {
 		return nil, nil, fmt.Errorf("core: tau %d: %w", tau, ErrTauTooSmall)
+	}
+	if g == nil {
+		return nil, nil, errNilGraph
 	}
 	rng := rand.New(rand.NewSource(seed))
 	cur := g

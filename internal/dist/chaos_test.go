@@ -1,15 +1,110 @@
 package dist
 
 import (
+	"crypto/sha256"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"dcc/internal/core"
 	"dcc/internal/geom"
 	"dcc/internal/graph"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/run_golden.txt from this build")
+
+// runGoldenPath holds one line per run of TestChaosMatrix and
+// TestParallelMatchesDistributed: the deletion order, the crashed and
+// recovered lists, a hash of the final graph's node and edge lists, and
+// every Stats field. It pins refactors of the runtime as invisible, run
+// for run. Regenerate (both tests, without -short, with -update-golden)
+// only for a deliberate behaviour change, and say so.
+var runGoldenPath = filepath.Join("testdata", "run_golden.txt")
+
+// runGolden collects the result lines of one test's runs. When the test
+// ends it compares them with the recorded lines, or rewrites the test's
+// lines under -update-golden. Lines are keyed by test and cell name, so a
+// -short or -run slice compares exactly the cells that ran.
+type runGolden struct {
+	t     *testing.T
+	lines map[string]string
+}
+
+func newRunGolden(t *testing.T) *runGolden {
+	g := &runGolden{t: t, lines: make(map[string]string)}
+	t.Cleanup(g.check)
+	return g
+}
+
+// add records the pinned fields of one run.
+func (g *runGolden) add(cell string, res Result) {
+	h := sha256.New()
+	for _, v := range res.Final.Nodes() {
+		fmt.Fprintf(h, "%d ", v)
+	}
+	for _, e := range res.Final.Edges() {
+		fmt.Fprintf(h, "%d-%d ", e.U, e.V)
+	}
+	key := g.t.Name() + "/" + cell
+	g.lines[key] = fmt.Sprintf("%s deleted=%v crashed=%v recovered=%v final=%d/%d/%x stats=%+v",
+		key, res.Deleted, res.Crashed, res.Recovered, res.Final.NumNodes(), res.Final.NumEdges(),
+		h.Sum(nil)[:8], res.Stats)
+}
+
+func (g *runGolden) check() {
+	t := g.t
+	recorded := make(map[string]string)
+	if data, err := os.ReadFile(runGoldenPath); err == nil {
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			key, _, _ := strings.Cut(line, " ")
+			recorded[key] = line
+		}
+	} else if !*updateGolden {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		if testing.Short() {
+			t.Fatal("-update-golden records the full matrix; drop -short")
+		}
+		for key := range recorded {
+			if strings.HasPrefix(key, t.Name()+"/") {
+				delete(recorded, key)
+			}
+		}
+		for key, line := range g.lines {
+			recorded[key] = line
+		}
+		out := make([]string, 0, len(recorded))
+		for _, line := range recorded {
+			out = append(out, line)
+		}
+		sort.Strings(out)
+		if err := os.WriteFile(runGoldenPath, []byte(strings.Join(out, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	keys := make([]string, 0, len(g.lines))
+	for key := range g.lines {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		want, ok := recorded[key]
+		switch {
+		case !ok:
+			t.Errorf("%s: no recorded run in %s", key, runGoldenPath)
+		case g.lines[key] != want:
+			t.Errorf("%s differs from %s:\n got  %s\n want %s", key, runGoldenPath, g.lines[key], want)
+		}
+	}
+}
 
 // chaosPlans are the seeded fault schedules of the chaos matrix. Every
 // plan is reproducible from its literal value: crash times, recovery
@@ -103,6 +198,7 @@ func TestChaosMatrix(t *testing.T) {
 		taus = []int{4}
 		losses = []float64{0, 0.2}
 	}
+	gold := newRunGolden(t)
 	noneViolations := 0
 	for _, tau := range taus {
 		for _, loss := range losses {
@@ -143,6 +239,7 @@ func TestChaosMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					gold.add("ack/"+name, res)
 					checkRunIntegrity(t, res)
 					if res.Stats.IndependenceViolations != 0 {
 						t.Fatalf("AckFloods cell has %d independence violations",
@@ -167,6 +264,7 @@ func TestChaosMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					gold.add("none/"+name, res)
 					checkRunIntegrity(t, res)
 					if loss >= 0.1 {
 						noneViolations += res.Stats.IndependenceViolations
@@ -223,6 +321,7 @@ func TestParallelMatchesDistributed(t *testing.T) {
 		{"ack/loss=0.05", 0.05, AckFloods},
 		{"ack/loss=0.1", 0.1, AckFloods},
 	}
+	gold := newRunGolden(t)
 	lossy := 0
 	for _, seed := range seeds {
 		net := ringNet(t, seed, 112, 9, 1.4)
@@ -236,13 +335,14 @@ func TestParallelMatchesDistributed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				name := fmt.Sprintf("seed=%d/tau=%d/%s", seed, tau, md.name)
+				gold.add(name, got)
 				if md.loss > 0 {
 					if got.Stats.Withdrawals > 0 || got.Stats.Suspicions > 0 {
 						continue
 					}
 					lossy++
 				}
-				name := fmt.Sprintf("seed=%d/tau=%d/%s", seed, tau, md.name)
 				switch {
 				case !reflect.DeepEqual(got.Deleted, want.Deleted):
 					t.Errorf("%s: deletion order differs\ndist:     %v\nparallel: %v", name, got.Deleted, want.Deleted)

@@ -23,15 +23,20 @@
 // per-(seed,node,round) hashed priorities, so a run is reproducible from
 // its Config alone.
 //
-// Delivery of the protocol's floods (discovery gossip, CANDIDATE, DELETE)
-// is selectable (Config.Reliability): the paper's bare fire-and-forget
-// broadcasts, or a per-hop ACK/retransmit layer over sequenced v2 frames
-// that restores MIS independence under message loss (DESIGN.md §10).
+// Every flood of the protocol — the discovery gossip, the CANDIDATE bids,
+// the DELETE announcements, and the fault model's REJOIN and SUSPECT
+// announcements — is one bounded relay: hop by hop, each receiver
+// forwards only what is new to it, and a hop that delivers nothing new
+// ends the flood. Delivery is selectable (Config.Reliability): the
+// paper's bare fire-and-forget broadcasts, or a per-hop ACK/retransmit
+// layer over sequenced v2 frames that restores MIS independence under
+// message loss (DESIGN.md §10). Either way every frame, data or ACK, goes
+// through one radio loop and one wire codec (Frame.Encode, DecodeFrame).
 package dist
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dcc/internal/core"
 	"dcc/internal/graph"
@@ -182,14 +187,11 @@ func publishRunStats(reg *telemetry.Registry, s Stats) {
 }
 
 type runtime struct {
-	cfg   Config
-	net   core.Network
-	k, m  int
-	cur   *graph.Graph // ground-truth surviving topology
-	views map[graph.NodeID]*localView
-	// cached deletability per node; valid while the node's view is
-	// unchanged.
-	deletable map[graph.NodeID]bool
+	cfg       Config
+	net       core.Network
+	k, m      int
+	cur       *graph.Graph // ground-truth surviving topology
+	views     map[graph.NodeID]*localView
 	deleted   []graph.NodeID
 	crashed   map[graph.NodeID]bool
 	crashList []graph.NodeID
@@ -212,16 +214,15 @@ type suspicion struct{ by, of graph.NodeID }
 
 func newRuntime(net core.Network, cfg Config) *runtime {
 	r := &runtime{
-		cfg:       cfg,
-		net:       net,
-		k:         vpt.NeighborhoodRadius(cfg.Tau),
-		m:         vpt.IndependenceRadius(cfg.Tau),
-		cur:       net.G,
-		views:     make(map[graph.NodeID]*localView, net.G.NumNodes()),
-		deletable: make(map[graph.NodeID]bool),
-		crashed:   make(map[graph.NodeID]bool),
-		rng:       newSplitMix(uint64(cfg.Seed) ^ 0x9e3779b97f4a7c15),
-		tester:    vpt.NewTester(),
+		cfg:     cfg,
+		net:     net,
+		k:       vpt.NeighborhoodRadius(cfg.Tau),
+		m:       vpt.IndependenceRadius(cfg.Tau),
+		cur:     net.G,
+		views:   make(map[graph.NodeID]*localView, net.G.NumNodes()),
+		crashed: make(map[graph.NodeID]bool),
+		rng:     newSplitMix(uint64(cfg.Seed) ^ 0x9e3779b97f4a7c15),
+		tester:  vpt.NewTester(),
 	}
 	for _, v := range net.G.Nodes() {
 		r.views[v] = newLocalView(v, net.G.Neighbors(v))
@@ -237,17 +238,9 @@ func newRuntime(net core.Network, cfg Config) *runtime {
 
 // liveNodes returns the surviving, non-crashed nodes in sorted order.
 // Graph.Nodes hands out a fresh copy (a documented guarantee), so the
-// in-place filter below cannot alias graph internals or earlier Nodes()
-// results.
+// in-place filter cannot alias graph internals or earlier Nodes() results.
 func (r *runtime) liveNodes() []graph.NodeID {
-	nodes := r.cur.Nodes()
-	out := nodes[:0]
-	for _, v := range nodes {
-		if !r.crashed[v] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return r.filterLive(r.cur.Nodes())
 }
 
 // unreliableLossy reports whether the run combines fire-and-forget floods
@@ -281,58 +274,98 @@ func (r *runtime) dropDelivery(from, to graph.NodeID) bool {
 	return r.cfg.Loss > 0 && r.rng.float64() < r.cfg.Loss
 }
 
-// proofOfLife clears any stale suspicion of a transmitting node: crashed
-// and deleted nodes never transmit, so every reception proves its sender
-// alive. Called on every delivery, before the packets are processed.
-func (r *runtime) proofOfLife(from, to graph.NodeID) {
-	r.views[to].resurrect(from)
+// senders returns the live nodes with packets to send, in ID order.
+func (r *runtime) senders(frames map[graph.NodeID][]Packet) []graph.NodeID {
+	out := make([]graph.NodeID, 0, len(frames))
+	for v, pkts := range frames {
+		if len(pkts) > 0 && !r.crashed[v] {
+			out = append(out, v)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
-// broadcastRound delivers one synchronous round: every sender with a
-// pending frame broadcasts it; each surviving link decodes the frame at
-// the receiver and hands the packets to onPacket. Frames travel through
-// the real wire format (EncodeFrame/DecodeFrame), so byte accounting and
-// serialisation are exercised on every delivery.
-func (r *runtime) broadcastRound(frames map[graph.NodeID][]Packet, onPacket func(from, to graph.NodeID, p Packet)) {
-	senders := make([]graph.NodeID, 0, len(frames))
-	for v, pkts := range frames {
-		if len(pkts) > 0 {
-			senders = append(senders, v)
-		}
+// encode serialises a frame the runtime built. Node IDs are validated at
+// build time, so an encoding failure is a programming error.
+func encode(f Frame) []byte {
+	buf, err := f.Encode()
+	if err != nil {
+		panic(fmt.Sprintf("dist: encode frame: %v", err))
 	}
-	if len(senders) == 0 {
-		return
-	}
-	r.stats.CommRounds++
-	sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
-	for _, from := range senders {
-		if r.crashed[from] {
+	return buf
+}
+
+// transmit is the radio: from broadcasts the encoded frame once, and every
+// live neighbour whose link does not drop it decodes the frame and hands
+// it to deliver. Frames travel through the real wire format, so byte
+// accounting and serialisation are exercised on every delivery. Crashed
+// and deleted nodes never transmit, so every reception also proves its
+// sender alive and clears any stale suspicion of it. It returns the
+// frame's size in bytes.
+func (r *runtime) transmit(from graph.NodeID, frame []byte, deliver func(to graph.NodeID, f Frame)) int {
+	r.stats.Broadcasts++
+	r.stats.BytesSent += len(frame)
+	for _, to := range r.cur.Neighbors(from) {
+		if r.crashed[to] || r.dropDelivery(from, to) {
 			continue
 		}
-		frame, err := EncodeFrame(frames[from])
+		f, err := DecodeFrame(frame)
 		if err != nil {
-			// Node IDs are validated at build time; an encoding failure is
-			// a programming error.
-			panic(fmt.Sprintf("dist: encode frame: %v", err))
+			panic(fmt.Sprintf("dist: decode frame: %v", err))
 		}
-		r.stats.Broadcasts++
-		r.stats.BytesSent += len(frame)
-		for _, to := range r.cur.Neighbors(from) {
-			if r.crashed[to] || r.dropDelivery(from, to) {
-				continue
-			}
-			packets, err := DecodeFrame(frame)
-			if err != nil {
-				panic(fmt.Sprintf("dist: decode frame: %v", err))
-			}
-			r.stats.Delivered++
-			r.stats.BytesDelivered += len(frame)
-			r.proofOfLife(from, to)
-			for _, p := range packets {
+		r.stats.Delivered++
+		r.stats.BytesDelivered += len(frame)
+		r.views[to].resurrect(from)
+		deliver(to, f)
+	}
+	return len(frame)
+}
+
+// flood delivers one hop with the configured reliability: under
+// ReliabilityNone one synchronous round in which every sender broadcasts
+// a bare v1 frame once, under AckFloods the ACK/retransmit exchange. It
+// returns the senders that gave up (always nil for the unreliable mode,
+// which cannot detect loss).
+func (r *runtime) flood(frames map[graph.NodeID][]Packet, onPacket func(from, to graph.NodeID, p Packet)) []graph.NodeID {
+	if r.rel != nil {
+		return r.reliableRound(frames, onPacket)
+	}
+	senders := r.senders(frames)
+	if len(senders) > 0 {
+		r.stats.CommRounds++
+	}
+	for _, from := range senders {
+		r.transmit(from, encode(Frame{Version: wireVersion, Packets: frames[from]}), func(to graph.NodeID, f Frame) {
+			for _, p := range f.Packets {
 				onPacket(from, to, p)
 			}
-		}
+		})
 	}
+	return nil
+}
+
+// relay runs a bounded flood: for up to hops hops, the pending packets go
+// out through flood, and each receiver forwards next hop the packets that
+// fresh accepts (fresh also applies them to the receiver's state). A hop
+// that delivers nothing new leaves nothing to forward, which ends the
+// relay early. It returns the first hop's give-ups, the senders whose own
+// broadcast could not be fully acknowledged.
+func (r *runtime) relay(pending map[graph.NodeID][]Packet, hops int, fresh func(hop int, to graph.NodeID, p Packet) bool) []graph.NodeID {
+	var firstGaveUp []graph.NodeID
+	for hop := 0; hop < hops && len(pending) > 0; hop++ {
+		next := make(map[graph.NodeID][]Packet)
+		gaveUp := r.flood(pending, func(_, to graph.NodeID, p Packet) {
+			if fresh(hop, to, p) {
+				next[to] = append(next[to], p)
+			}
+		})
+		if hop == 0 {
+			firstGaveUp = gaveUp
+		}
+		pending = next
+	}
+	return firstGaveUp
 }
 
 // discover runs k rounds of adjacency gossip so every node learns the
@@ -341,26 +374,11 @@ func (r *runtime) broadcastRound(frames map[graph.NodeID][]Packet, onPacket func
 func (r *runtime) discover() {
 	pending := make(map[graph.NodeID][]Packet)
 	for _, v := range r.liveNodes() {
-		rec := r.views[v].record()
-		pending[v] = []Packet{{Kind: MsgHello, Owner: rec.owner, Neighbors: rec.nbrs}}
+		pending[v] = []Packet{{Kind: MsgHello, Owner: v, Neighbors: r.views[v].records[v]}}
 	}
-	for round := 0; round < r.k; round++ {
-		next := make(map[graph.NodeID][]Packet)
-		delivered := false
-		r.flood(pending, func(_, to graph.NodeID, p Packet) {
-			delivered = true
-			if p.Kind != MsgHello {
-				return
-			}
-			if r.views[to].learn(adjRecord{owner: p.Owner, nbrs: p.Neighbors}) {
-				next[to] = append(next[to], p)
-			}
-		})
-		if !delivered {
-			break
-		}
-		pending = next
-	}
+	r.relay(pending, r.k, func(_ int, to graph.NodeID, p Packet) bool {
+		return r.views[to].learn(p.Owner, p.Neighbors)
+	})
 }
 
 func (r *runtime) mainLoop() {
@@ -441,7 +459,6 @@ func (r *runtime) applyRecoveries(nodes []graph.NodeID) []graph.NodeID {
 		}
 		r.recovered = append(r.recovered, v)
 		r.views[v] = newLocalView(v, r.cur.Neighbors(v))
-		delete(r.deletable, v)
 		rec = append(rec, v)
 	}
 	return rec
@@ -461,55 +478,32 @@ func (r *runtime) resync(recovered []graph.NodeID) {
 		pending[v] = []Packet{{Kind: MsgRejoin, Origin: v}}
 	}
 	dumpers := make(map[graph.NodeID]bool)
-	seenRejoin := make(map[suspicion]bool) // (hearer, rejoiner) pairs
-	for hop := 0; hop < r.k; hop++ {
-		next := make(map[graph.NodeID][]Packet)
-		delivered := false
-		r.flood(pending, func(_, to graph.NodeID, p Packet) {
-			delivered = true
-			if p.Kind != MsgRejoin || p.Origin == to {
-				return
-			}
-			r.views[to].resurrect(p.Origin)
-			if hop == 0 {
-				dumpers[to] = true
-			}
-			key := suspicion{by: to, of: p.Origin}
-			if !seenRejoin[key] {
-				seenRejoin[key] = true
-				next[to] = append(next[to], p)
-			}
-		})
-		if !delivered {
-			break
+	heard := make(map[suspicion]bool) // (hearer, rejoiner) pairs
+	r.relay(pending, r.k, func(hop int, to graph.NodeID, p Packet) bool {
+		if p.Origin == to {
+			return false
 		}
-		pending = next
-	}
-	ids := make([]graph.NodeID, 0, len(dumpers))
-	for v := range dumpers {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	dump := make(map[graph.NodeID][]Packet, len(ids))
-	for _, u := range ids {
+		r.views[to].resurrect(p.Origin)
+		if hop == 0 {
+			dumpers[to] = true
+		}
+		key := suspicion{by: to, of: p.Origin}
+		if heard[key] {
+			return false
+		}
+		heard[key] = true
+		return true
+	})
+	dump := make(map[graph.NodeID][]Packet, len(dumpers))
+	for _, u := range sortedKeys(dumpers) {
 		view := r.views[u]
-		owners := make([]graph.NodeID, 0, len(view.records))
-		for o := range view.records {
-			owners = append(owners, o)
-		}
-		sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
 		var pkts []Packet
-		for _, o := range owners {
+		for _, o := range sortedKeys(view.records) {
 			if !view.dead[o] {
 				pkts = append(pkts, Packet{Kind: MsgHello, Owner: o, Neighbors: view.records[o]})
 			}
 		}
-		deads := make([]graph.NodeID, 0, len(view.dead))
-		for d := range view.dead {
-			deads = append(deads, d)
-		}
-		sort.Slice(deads, func(i, j int) bool { return deads[i] < deads[j] })
-		for _, d := range deads {
+		for _, d := range sortedKeys(view.dead) {
 			pkts = append(pkts, Packet{Kind: MsgDelete, Origin: d})
 		}
 		dump[u] = pkts
@@ -517,9 +511,9 @@ func (r *runtime) resync(recovered []graph.NodeID) {
 	r.flood(dump, func(_, to graph.NodeID, p Packet) {
 		switch p.Kind {
 		case MsgHello:
-			r.views[to].learn(adjRecord{owner: p.Owner, nbrs: p.Neighbors})
+			r.views[to].learn(p.Owner, p.Neighbors)
 		case MsgDelete:
-			r.applyDelete(to, p.Origin)
+			r.views[to].markDead(p.Origin)
 		}
 	})
 }
@@ -557,26 +551,12 @@ func (r *runtime) announceSuspicions() {
 		}
 	}
 	r.pendingSuspects = r.pendingSuspects[:0]
-	for hop := 0; hop < r.k; hop++ {
-		next := make(map[graph.NodeID][]Packet)
-		delivered := false
-		r.flood(pending, func(_, to graph.NodeID, p Packet) {
-			delivered = true
-			if p.Kind != MsgSuspect || p.Origin == to {
-				return
-			}
-			if r.views[to].markSuspect(p.Origin) {
-				next[to] = append(next[to], p)
-			}
-		})
-		if !delivered {
-			break
-		}
-		pending = next
-	}
+	r.relay(pending, r.k, func(_ int, to graph.NodeID, p Packet) bool {
+		return p.Origin != to && r.views[to].markSuspect(p.Origin)
+	})
 }
 
-// filterLive drops crashed nodes from a sorted ID list.
+// filterLive drops crashed nodes from a sorted ID list, in place.
 func (r *runtime) filterLive(ids []graph.NodeID) []graph.NodeID {
 	out := ids[:0]
 	for _, v := range ids {
@@ -652,10 +632,10 @@ func (r *runtime) evaluateCandidates() []graph.NodeID {
 		if view.changed {
 			view.changed = false
 			r.stats.Tests++
-			r.deletable[v] = r.tester.NeighborhoodDeletable(
+			view.deletable = r.tester.NeighborhoodDeletable(
 				view.neighborhoodGraph(r.k), view.liveNeighbors(v), r.cfg.Tau)
 		}
-		if r.deletable[v] && len(view.suspect) == 0 {
+		if view.deletable && len(view.suspect) == 0 {
 			cands = append(cands, v)
 		}
 	}
@@ -669,54 +649,34 @@ func (r *runtime) evaluateCandidates() []graph.NodeID {
 // for this super-round: its bid provably failed to reach its whole 1-hop
 // neighbourhood, so self-electing would risk a non-independent deletion.
 func (r *runtime) electMIS(cands []graph.NodeID, superRound int) (winners, elected []graph.NodeID) {
-	bids := make(map[graph.NodeID]core.Bid, len(cands))
+	pending := make(map[graph.NodeID][]Packet, len(cands))
+	for _, v := range cands {
+		pending[v] = []Packet{{Kind: MsgCandidate, Origin: v, Priority: core.RoundBid(r.cfg.Seed, v, superRound).Priority}}
+	}
 	heard := make(map[graph.NodeID]map[graph.NodeID]core.Bid) // node -> origin -> bid
-	withdrawn := make(map[graph.NodeID]bool)
-	pending := make(map[graph.NodeID][]Packet)
+	gaveUp := r.relay(pending, r.m-1, func(_ int, to graph.NodeID, p Packet) bool {
+		if p.Origin == to {
+			return false
+		}
+		bids := heard[to]
+		if bids == nil {
+			bids = make(map[graph.NodeID]core.Bid)
+			heard[to] = bids
+		}
+		if _, seen := bids[p.Origin]; seen {
+			return false
+		}
+		bids[p.Origin] = core.Bid{Priority: p.Priority, Node: p.Origin}
+		return true
+	})
+	r.stats.Withdrawals += len(gaveUp)
+	// cands is in ID order, and so are elected and winners.
 	for _, v := range cands {
-		bids[v] = core.RoundBid(r.cfg.Seed, v, superRound)
-		pending[v] = []Packet{{Kind: MsgCandidate, Origin: v, Priority: bids[v].Priority}}
-	}
-	for hop := 0; hop < r.m-1; hop++ {
-		next := make(map[graph.NodeID][]Packet)
-		delivered := false
-		gaveUp := r.flood(pending, func(_, to graph.NodeID, p Packet) {
-			delivered = true
-			if p.Kind != MsgCandidate || p.Origin == to {
-				return
-			}
-			m, ok := heard[to]
-			if !ok {
-				m = make(map[graph.NodeID]core.Bid)
-				heard[to] = m
-			}
-			if _, seen := m[p.Origin]; seen {
-				return
-			}
-			m[p.Origin] = core.Bid{Priority: p.Priority, Node: p.Origin}
-			next[to] = append(next[to], p)
-		})
-		if hop == 0 {
-			for _, v := range gaveUp {
-				if _, isCand := bids[v]; isCand && !withdrawn[v] {
-					withdrawn[v] = true
-					r.stats.Withdrawals++
-				}
-			}
+		if slices.Contains(gaveUp, v) {
+			continue
 		}
-		if !delivered {
-			break
-		}
-		pending = next
-	}
-	elected = make([]graph.NodeID, 0, len(cands))
-	for _, v := range cands {
-		if !withdrawn[v] {
-			elected = append(elected, v)
-		}
-	}
-	for _, v := range elected {
-		own := bids[v]
+		elected = append(elected, v)
+		own := core.RoundBid(r.cfg.Seed, v, superRound)
 		lost := false
 		//lint:ordered ∃-reduction: "did any heard bid beat mine" is order-independent
 		for _, other := range heard[v] {
@@ -729,62 +689,34 @@ func (r *runtime) electMIS(cands []graph.NodeID, superRound int) (winners, elect
 			winners = append(winners, v)
 		}
 	}
-	sort.Slice(winners, func(i, j int) bool { return winners[i] < winners[j] })
 	return winners, elected
 }
 
 // deleteWinners removes the winners from the ground truth and floods their
 // DELETE announcements k hops so neighbours update their local views.
 func (r *runtime) deleteWinners(winners []graph.NodeID) {
-	// The winner's own farewell broadcast happens while its links are
-	// still up.
+	// The winners' farewell broadcast happens while their links are still
+	// up.
 	farewell := make(map[graph.NodeID][]Packet, len(winners))
 	for _, w := range winners {
 		farewell[w] = []Packet{{Kind: MsgDelete, Origin: w}}
 	}
 	pending := make(map[graph.NodeID][]Packet) // forwarder -> announcements
 	r.flood(farewell, func(_, to graph.NodeID, p Packet) {
-		if p.Kind == MsgDelete && r.applyDelete(to, p.Origin) {
+		if r.views[to].markDead(p.Origin) {
 			pending[to] = append(pending[to], p)
 		}
 	})
-	for _, w := range winners {
-		r.deleted = append(r.deleted, w)
-	}
+	r.deleted = append(r.deleted, winners...)
 	r.cur = r.cur.DeleteVertices(winners)
-
-	// Forward the announcements k−1 more hops among survivors.
-	for hop := 1; hop < r.k; hop++ {
-		//lint:ordered prune-only pass; broadcastRound sorts the surviving senders
-		for v := range pending {
-			if !r.cur.HasNode(v) {
-				delete(pending, v)
-			}
-		}
-		next := make(map[graph.NodeID][]Packet)
-		delivered := false
-		r.flood(pending, func(_, to graph.NodeID, p Packet) {
-			delivered = true
-			if p.Kind == MsgDelete && r.applyDelete(to, p.Origin) {
-				next[to] = append(next[to], p)
-			}
-		})
-		if !delivered {
-			break
-		}
-		pending = next
+	// A winner that heard another's farewell is gone and forwards nothing.
+	// Every later forwarder receives on the surviving graph.
+	for _, w := range winners {
+		delete(pending, w)
 	}
-}
-
-// applyDelete updates node's view with a DELETE(origin); returns true when
-// the announcement was new (and should be forwarded).
-func (r *runtime) applyDelete(node, origin graph.NodeID) bool {
-	view := r.views[node]
-	if !view.markDead(origin) {
-		return false
-	}
-	view.dropNeighbor(origin)
-	return true
+	r.relay(pending, r.k-1, func(_ int, to graph.NodeID, p Packet) bool {
+		return r.views[to].markDead(p.Origin)
+	})
 }
 
 func (r *runtime) result() Result {
@@ -806,6 +738,16 @@ func (r *runtime) result() Result {
 		Recovered:    append([]graph.NodeID(nil), r.recovered...),
 		Stats:        r.stats,
 	}
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[graph.NodeID]V) []graph.NodeID {
+	out := make([]graph.NodeID, 0, len(m))
+	for v := range m {
+		out = append(out, v)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // splitMix is a tiny deterministic PRNG (SplitMix64) used for loss

@@ -7,58 +7,41 @@ import (
 	"dcc/internal/graph"
 )
 
-// FuzzFrameRoundTrip feeds arbitrary bytes to the wire-format decoders.
+// FuzzFrameRoundTrip feeds arbitrary bytes to the wire-format decoder.
 // For every input:
 //
-//  1. DecodeFrameAny (and the legacy v1-only DecodeFrame) never panics —
-//     malformed radio frames are a runtime condition, not a programming
-//     error;
+//  1. DecodeFrame never panics — malformed radio frames are a runtime
+//     condition, not a programming error;
 //  2. any frame that decodes re-encodes losslessly in its own version:
-//     for the decoded frame f, DecodeFrameAny(f.Encode()) == f. (The byte
+//     for the decoded frame f, DecodeFrame(f.Encode()) == f. (The byte
 //     images may differ — the decoder tolerates non-minimal uvarints the
 //     encoder never emits — so the law is stated on decoded frames, not
 //     bytes.)
-//  3. DecodeFrame agrees with DecodeFrameAny on every v1 frame and rejects
-//     everything else with ErrBadVersion or ErrBadFrame.
 func FuzzFrameRoundTrip(f *testing.F) {
 	// Seed corpus: one frame per packet kind in both wire versions, a
 	// multi-packet frame, and classic malformed shapes (bad version,
 	// truncations, trailing bytes).
-	helloFrame, err := EncodeFrame([]Packet{{Kind: MsgHello, Owner: 2, Neighbors: []graph.NodeID{3, 4, 9}}})
-	if err != nil {
-		f.Fatal(err)
+	encode := func(version byte, seq uint64, packets ...Packet) []byte {
+		frame, err := Frame{Version: version, Seq: seq, Packets: packets}.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return frame
 	}
-	candFrame, err := EncodeFrame([]Packet{{Kind: MsgCandidate, Origin: 5, Priority: 0xDEADBEEF01020304}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	mixed, err := EncodeFrame([]Packet{
-		{Kind: MsgDelete, Origin: 7},
-		{Kind: MsgHello, Owner: 0, Neighbors: nil},
-		{Kind: MsgCandidate, Origin: 1, Priority: 42},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	ackFrame, err := EncodeFrameV2(9, []Packet{
-		{Kind: MsgAck, Origin: 3, Seq: 8},
-		{Kind: MsgAck, Origin: 300, Seq: 1 << 30},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	v2Mixed, err := EncodeFrameV2(1<<40, []Packet{
-		{Kind: MsgRejoin, Origin: 11},
-		{Kind: MsgCandidate, Origin: 4, Priority: 77},
-		{Kind: MsgDelete, Origin: 2},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(helloFrame)
-	f.Add(candFrame)
+	mixed := encode(1, 0,
+		Packet{Kind: MsgDelete, Origin: 7},
+		Packet{Kind: MsgHello, Owner: 0, Neighbors: nil},
+		Packet{Kind: MsgCandidate, Origin: 1, Priority: 42},
+	)
+	v2Mixed := encode(2, 1<<40,
+		Packet{Kind: MsgRejoin, Origin: 11},
+		Packet{Kind: MsgCandidate, Origin: 4, Priority: 77},
+		Packet{Kind: MsgDelete, Origin: 2},
+	)
+	f.Add(encode(1, 0, Packet{Kind: MsgHello, Owner: 2, Neighbors: []graph.NodeID{3, 4, 9}}))
+	f.Add(encode(1, 0, Packet{Kind: MsgCandidate, Origin: 5, Priority: 0xDEADBEEF01020304}))
 	f.Add(mixed)
-	f.Add(ackFrame)
+	f.Add(encode(2, 9, Packet{Kind: MsgAck, Origin: 3, Seq: 8}, Packet{Kind: MsgAck, Origin: 300, Seq: 1 << 30}))
 	f.Add(v2Mixed)
 	f.Add([]byte{})
 	f.Add([]byte{99, 1, 3, 7})                        // unsupported version
@@ -72,23 +55,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(append(v2Mixed, 0x01))                      // v2 trailing byte
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		decoded, anyErr := DecodeFrameAny(frame) // must not panic on any input
-		packets, v1Err := DecodeFrame(frame)     // neither must the legacy decoder
-
-		// Law 3: the legacy decoder is exactly "DecodeFrameAny restricted
-		// to v1".
-		if anyErr == nil && decoded.Version == 1 {
-			if v1Err != nil {
-				t.Fatalf("v1 frame accepted by DecodeFrameAny, rejected by DecodeFrame: %v", v1Err)
-			}
-			if !reflect.DeepEqual(packets, decoded.Packets) {
-				t.Fatalf("decoder disagreement:\nv1:  %+v\nany: %+v", packets, decoded.Packets)
-			}
-		} else if v1Err == nil {
-			t.Fatalf("DecodeFrame accepted a frame DecodeFrameAny rejects or a non-v1 frame (version %d)",
-				decoded.Version)
-		}
-		if anyErr != nil {
+		decoded, err := DecodeFrame(frame) // law 1: must not panic on any input
+		if err != nil {
 			return
 		}
 
@@ -97,7 +65,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded frame failed to re-encode: %v\nframe: %+v", err, decoded)
 		}
-		again, err := DecodeFrameAny(reencoded)
+		again, err := DecodeFrame(reencoded)
 		if err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}

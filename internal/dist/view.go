@@ -1,18 +1,8 @@
 package dist
 
 import (
-	"sort"
-
 	"dcc/internal/graph"
 )
-
-// adjRecord is one node's 1-hop adjacency list as learned through gossip.
-// Records are immutable once created; deletions are tracked separately so
-// that stale gossip cannot resurrect a dead node.
-type adjRecord struct {
-	owner graph.NodeID
-	nbrs  []graph.NodeID
-}
 
 // localView is the connectivity knowledge a node accumulates: the adjacency
 // lists of every node it has heard about, the set of nodes it knows to be
@@ -31,7 +21,9 @@ type localView struct {
 	records map[graph.NodeID][]graph.NodeID
 	dead    map[graph.NodeID]bool
 	suspect map[graph.NodeID]bool
-	changed bool // set when the view changed since the last deletability test
+	// changed is set when the view changed since the last deletability
+	// test; deletable is that test's verdict.
+	changed, deletable bool
 }
 
 func newLocalView(self graph.NodeID, ownNbrs []graph.NodeID) *localView {
@@ -46,19 +38,23 @@ func newLocalView(self graph.NodeID, ownNbrs []graph.NodeID) *localView {
 	return v
 }
 
-// learn stores a gossiped adjacency record. It returns true when the record
-// was new (and should be forwarded).
-func (v *localView) learn(rec adjRecord) bool {
-	if _, known := v.records[rec.owner]; known {
+// learn stores a gossiped adjacency record: owner's 1-hop neighbours. A
+// learned record is never replaced; deletions are tracked separately so
+// that stale gossip cannot resurrect a dead node. It returns true when the
+// record was new (and should be forwarded).
+func (v *localView) learn(owner graph.NodeID, nbrs []graph.NodeID) bool {
+	if _, known := v.records[owner]; known {
 		return false
 	}
-	v.records[rec.owner] = append([]graph.NodeID(nil), rec.nbrs...)
+	v.records[owner] = append([]graph.NodeID(nil), nbrs...)
 	v.changed = true
 	return true
 }
 
-// markDead records a node deletion. Returns true when previously unknown.
-// An announced death supersedes any suspicion.
+// markDead records a node deletion and drops the node from the owner's own
+// adjacency list (the radio link is gone). It returns true when the
+// deletion was previously unknown (and should be forwarded). An announced
+// death supersedes any suspicion.
 func (v *localView) markDead(n graph.NodeID) bool {
 	if v.dead[n] {
 		return false
@@ -66,6 +62,14 @@ func (v *localView) markDead(n graph.NodeID) bool {
 	v.dead[n] = true
 	delete(v.suspect, n)
 	v.changed = true
+	own := v.records[v.self]
+	out := own[:0]
+	for _, w := range own {
+		if w != n {
+			out = append(out, w)
+		}
+	}
+	v.records[v.self] = out
 	return true
 }
 
@@ -90,34 +94,16 @@ func (v *localView) resurrect(n graph.NodeID) {
 	v.changed = true
 }
 
-// record returns the owned adjacency record for gossiping.
-func (v *localView) record() adjRecord {
-	return adjRecord{owner: v.self, nbrs: v.records[v.self]}
-}
-
-// dropNeighbor removes a deleted node from the view owner's own adjacency
-// list (the radio link is gone).
-func (v *localView) dropNeighbor(n graph.NodeID) {
-	own := v.records[v.self]
-	out := own[:0]
-	for _, w := range own {
-		if w != n {
-			out = append(out, w)
-		}
-	}
-	v.records[v.self] = out
-}
-
 // neighborhoodGraph extracts Γ^k(self): the subgraph induced by the nodes
 // within k hops of self in the view (dead nodes excluded), with self
 // removed — exactly the input of the void-preserving transformation.
 func (v *localView) neighborhoodGraph(k int) *graph.Graph {
-	// BFS from self over known, live adjacency.
+	// BFS from self over known, live adjacency; the queue, self excepted,
+	// is the member list.
 	depth := map[graph.NodeID]int{v.self: 0}
 	queue := []graph.NodeID{v.self}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
 		if depth[u] >= k {
 			continue
 		}
@@ -128,24 +114,13 @@ func (v *localView) neighborhoodGraph(k int) *graph.Graph {
 			}
 		}
 	}
-	members := make([]graph.NodeID, 0, len(depth))
-	for n := range depth {
-		if n != v.self {
-			members = append(members, n)
-		}
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	inSet := make(map[graph.NodeID]bool, len(members))
-	for _, n := range members {
-		inSet[n] = true
-	}
+	// The Builder sorts and deduplicates, so neither the member order nor
+	// an edge seen from both ends changes the graph.
 	b := graph.NewBuilder()
-	for _, n := range members {
+	for _, n := range queue[1:] {
 		b.AddNode(n)
-	}
-	for _, n := range members {
 		for _, w := range v.liveNeighbors(n) {
-			if inSet[w] {
+			if _, in := depth[w]; in && w != v.self {
 				b.AddEdge(n, w)
 			}
 		}

@@ -27,17 +27,17 @@ import (
 // sequence number so receivers can deduplicate retransmissions and
 // acknowledge exactly the frame they heard; an ACK names the original
 // sender (origin) and the sequence number of the frame it acknowledges.
-// Version 1 frames remain byte-compatible: every v1 frame the old encoder
-// produced still decodes to the same packets.
+// One encoder (Frame.Encode) and one decoder (DecodeFrame) serve both
+// versions.
 //
 // Node IDs are non-negative and fit in uvarints. The simulator encodes
 // every frame it transmits and decodes it at each receiver, so the format
 // (and its size accounting) is exercised on every delivery, not just in
 // round-trip tests.
 
-// Frame format versions. wireVersion is the legacy v1 (no sequence
-// number); wireVersionSeq is the v2 layout carrying a per-frame sequence
-// number for the ACK/retransmit reliability layer.
+// Frame format versions. wireVersion is v1, the bare floods' frame (no
+// sequence number); wireVersionSeq is the v2 layout carrying a per-frame
+// sequence number for the ACK/retransmit reliability layer.
 const (
 	wireVersion    = 1
 	wireVersionSeq = 2
@@ -68,8 +68,8 @@ type Packet struct {
 	// Owner and Neighbors carry a HELLO adjacency record.
 	Owner     graph.NodeID
 	Neighbors []graph.NodeID
-	// Origin identifies the subject of CANDIDATE, DELETE, ACK and REJOIN
-	// packets; for an ACK it names the sender of the acknowledged frame.
+	// Origin identifies the subject of every other kind; for an ACK it
+	// names the sender of the acknowledged frame.
 	Origin graph.NodeID
 	// Priority is the MIS bid of a CANDIDATE.
 	Priority uint64
@@ -79,116 +79,74 @@ type Packet struct {
 
 // appendPacket serialises p onto dst.
 func appendPacket(dst []byte, p Packet) ([]byte, error) {
-	dst = append(dst, byte(p.Kind))
+	if p.Kind < MsgHello || p.Kind > MsgSuspect {
+		return nil, fmt.Errorf("dist: unknown packet kind %d", p.Kind)
+	}
+	id := p.Origin
+	if p.Kind == MsgHello {
+		id = p.Owner
+	}
+	dst, err := appendID(append(dst, byte(p.Kind)), id)
+	if err != nil {
+		return nil, err
+	}
 	switch p.Kind {
 	case MsgHello:
-		if p.Owner < 0 {
-			return nil, fmt.Errorf("dist: negative node id %d", p.Owner)
-		}
-		dst = binary.AppendUvarint(dst, uint64(p.Owner))
 		dst = binary.AppendUvarint(dst, uint64(len(p.Neighbors)))
 		for _, n := range p.Neighbors {
-			if n < 0 {
-				return nil, fmt.Errorf("dist: negative node id %d", n)
+			if dst, err = appendID(dst, n); err != nil {
+				return nil, err
 			}
-			dst = binary.AppendUvarint(dst, uint64(n))
 		}
 	case MsgCandidate:
-		if p.Origin < 0 {
-			return nil, fmt.Errorf("dist: negative node id %d", p.Origin)
-		}
-		dst = binary.AppendUvarint(dst, uint64(p.Origin))
 		dst = binary.BigEndian.AppendUint64(dst, p.Priority)
-	case MsgDelete, MsgRejoin, MsgSuspect:
-		if p.Origin < 0 {
-			return nil, fmt.Errorf("dist: negative node id %d", p.Origin)
-		}
-		dst = binary.AppendUvarint(dst, uint64(p.Origin))
 	case MsgAck:
-		if p.Origin < 0 {
-			return nil, fmt.Errorf("dist: negative node id %d", p.Origin)
-		}
-		dst = binary.AppendUvarint(dst, uint64(p.Origin))
 		dst = binary.AppendUvarint(dst, p.Seq)
-	default:
-		return nil, fmt.Errorf("dist: unknown packet kind %d", p.Kind)
 	}
 	return dst, nil
 }
 
-// EncodeFrame serialises a batch of packets into one v1 radio frame (no
-// sequence number; the unreliable-flood baseline).
-func EncodeFrame(packets []Packet) ([]byte, error) {
-	buf := make([]byte, 0, 16+8*len(packets))
-	buf = append(buf, wireVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(packets)))
-	var err error
-	for _, p := range packets {
-		buf, err = appendPacket(buf, p)
-		if err != nil {
-			return nil, err
-		}
+// appendID appends a node ID, which must be non-negative, as a uvarint.
+func appendID(dst []byte, id graph.NodeID) ([]byte, error) {
+	if id < 0 {
+		return nil, fmt.Errorf("dist: negative node id %d", id)
 	}
-	return buf, nil
+	return binary.AppendUvarint(dst, uint64(id)), nil
 }
 
-// EncodeFrameV2 serialises a batch of packets into one v2 radio frame
-// carrying the sender's per-frame sequence number (the reliability layer).
-func EncodeFrameV2(seq uint64, packets []Packet) ([]byte, error) {
-	buf := make([]byte, 0, 24+8*len(packets))
-	buf = append(buf, wireVersionSeq)
-	buf = binary.AppendUvarint(buf, seq)
-	buf = binary.AppendUvarint(buf, uint64(len(packets)))
-	var err error
-	for _, p := range packets {
-		buf, err = appendPacket(buf, p)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// Frame is a decoded radio frame: its wire version, the sequence number
-// (v2 only; zero for v1 frames), and the packet batch.
+// Frame is one radio frame: its wire version, the sender's per-frame
+// sequence number (v2 only; zero in a decoded v1 frame), and the packet
+// batch.
 type Frame struct {
 	Version byte
 	Seq     uint64
 	Packets []Packet
 }
 
-// Encode re-serialises a decoded frame in its original version.
+// Encode serialises the frame in its version: v1 (no sequence number, the
+// bare floods) or v2 (the reliability layer). Seq is ignored in v1.
 func (f Frame) Encode() ([]byte, error) {
-	switch f.Version {
-	case wireVersion:
-		return EncodeFrame(f.Packets)
-	case wireVersionSeq:
-		return EncodeFrameV2(f.Seq, f.Packets)
-	default:
+	if f.Version != wireVersion && f.Version != wireVersionSeq {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, f.Version)
 	}
+	buf := make([]byte, 0, 24+8*len(f.Packets))
+	buf = append(buf, f.Version)
+	if f.Version == wireVersionSeq {
+		buf = binary.AppendUvarint(buf, f.Seq)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(f.Packets)))
+	var err error
+	for _, p := range f.Packets {
+		if buf, err = appendPacket(buf, p); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
-// DecodeFrame parses a v1 radio frame back into packets. It is the legacy
-// entry point of the unreliable baseline and rejects sequenced v2 frames;
-// version-aware receivers use DecodeFrameAny.
-func DecodeFrame(frame []byte) ([]Packet, error) {
-	if len(frame) == 0 {
-		return nil, ErrBadFrame
-	}
-	if frame[0] != wireVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, frame[0])
-	}
-	f, err := DecodeFrameAny(frame)
-	if err != nil {
-		return nil, err
-	}
-	return f.Packets, nil
-}
-
-// DecodeFrameAny parses a radio frame of any supported version (v1 or v2)
-// back into packets plus frame metadata.
-func DecodeFrameAny(frame []byte) (Frame, error) {
+// DecodeFrame parses a radio frame of either version back into its
+// header and packets.
+func DecodeFrame(frame []byte) (Frame, error) {
 	if len(frame) == 0 {
 		return Frame{}, ErrBadFrame
 	}
@@ -232,14 +190,21 @@ func DecodeFrameAny(frame []byte) (Frame, error) {
 			return Frame{}, ErrBadFrame
 		}
 		p := Packet{Kind: MsgKind(rest[0])}
+		if p.Kind < MsgHello || p.Kind > MsgSuspect {
+			return Frame{}, fmt.Errorf("%w: kind %d", ErrBadFrame, p.Kind)
+		}
 		rest = rest[1:]
+		id, err := readID()
+		if err != nil {
+			return Frame{}, err
+		}
+		if p.Kind == MsgHello {
+			p.Owner = id
+		} else {
+			p.Origin = id
+		}
 		switch p.Kind {
 		case MsgHello:
-			owner, err := readID()
-			if err != nil {
-				return Frame{}, err
-			}
-			p.Owner = owner
 			cnt, n := binary.Uvarint(rest)
 			if n <= 0 || cnt > uint64(len(frame)) {
 				return Frame{}, ErrBadFrame
@@ -254,36 +219,18 @@ func DecodeFrameAny(frame []byte) (Frame, error) {
 				p.Neighbors = append(p.Neighbors, id)
 			}
 		case MsgCandidate:
-			origin, err := readID()
-			if err != nil {
-				return Frame{}, err
-			}
-			p.Origin = origin
 			if len(rest) < 8 {
 				return Frame{}, ErrBadFrame
 			}
 			p.Priority = binary.BigEndian.Uint64(rest)
 			rest = rest[8:]
-		case MsgDelete, MsgRejoin, MsgSuspect:
-			origin, err := readID()
-			if err != nil {
-				return Frame{}, err
-			}
-			p.Origin = origin
 		case MsgAck:
-			origin, err := readID()
-			if err != nil {
-				return Frame{}, err
-			}
-			p.Origin = origin
 			seq, n := binary.Uvarint(rest)
 			if n <= 0 {
 				return Frame{}, ErrBadFrame
 			}
 			p.Seq = seq
 			rest = rest[n:]
-		default:
-			return Frame{}, fmt.Errorf("%w: kind %d", ErrBadFrame, p.Kind)
 		}
 		packets = append(packets, p)
 	}

@@ -43,7 +43,7 @@ type Config struct {
 	SyncWAL bool
 	// Telemetry, when non-nil, receives the engine's metrics: deterministic
 	// counters mirroring Stats (stream.admitted, stream.applied, ...),
-	// gauges (stream.watermark, stream.pending, stream.live), and — when the
+	// gauges (stream.watermark, stream.live), and — when the
 	// registry has a clock — the stream.wal_append, stream.fsync and
 	// stream.election spans. Collection never perturbs results: counters
 	// are published as deltas after the work they count.
@@ -54,10 +54,6 @@ type Config struct {
 type walSyncer interface{ Sync() error }
 
 const (
-	// maxPending bounds the backpressure queue: when the pending batch
-	// reaches this depth the engine applies the whole batch at once (one
-	// re-election instead of one per event).
-	maxPending = 256
 	// memoLimit caps the verdict memo; at the cap the memo is dropped
 	// wholesale, which keeps eviction deterministic.
 	memoLimit = 1 << 20
@@ -126,7 +122,6 @@ type Engine struct {
 	boundaryEdges  map[graph.Edge]bool
 
 	watermark uint64 // highest admitted sequence number
-	pending   []Event
 
 	memo   map[memoKey]vpt.Verdict
 	replay core.Replay // the last election's trace, and what changed since
@@ -153,7 +148,7 @@ type telHandles struct {
 	rebuilds, fastRestores                             *telemetry.Counter
 	elections, tests, memoHits, memoMisses, memoResets *telemetry.Counter
 	witnessHits, replayHits, walBytes, snapshots       *telemetry.Counter
-	watermark, pending, live                           *telemetry.Gauge
+	watermark, live                                    *telemetry.Gauge
 }
 
 func newTelHandles(reg *telemetry.Registry) telHandles {
@@ -174,7 +169,6 @@ func newTelHandles(reg *telemetry.Registry) telHandles {
 		walBytes:     reg.Counter("stream.wal_bytes"),
 		snapshots:    reg.Counter("stream.snapshots"),
 		watermark:    reg.Gauge("stream.watermark"),
-		pending:      reg.Gauge("stream.pending"),
 		live:         reg.Gauge("stream.live"),
 	}
 }
@@ -205,7 +199,6 @@ func (e *Engine) publish() {
 	pubInt64(e.th.walBytes, &p.WALBytes, s.WALBytes)
 	pubInt(e.th.snapshots, &p.Snapshots, s.Snapshots)
 	e.th.watermark.Set(int64(e.watermark))
-	e.th.pending.Set(int64(len(e.pending)))
 	e.th.live.Set(int64(e.topo.liveCount()))
 	debugCheckTelemetryMirror(e)
 }
@@ -443,55 +436,36 @@ func (e *Engine) applyOne(ev Event) error {
 	return nil
 }
 
-// Ingest admits ev and enqueues it for batched application, so a batch
-// applies exactly the events Step would, in the same order. When the
-// queue reaches maxPending the whole batch is applied at once (bounded
-// staleness: one re-election amortizes the burst).
-//
-// The returned error reports this event's admission verdict (nil means
-// admitted); apply-time verdicts of batched events surface through
-// Quarantined and Stats.
+// Step admits ev and applies it at once. The returned error is the
+// event's full verdict: its admission, or else its application.
+func (e *Engine) Step(ev Event) error {
+	_, err := e.step(ev)
+	return err
+}
+
+// Ingest is Step for a producer that reads verdicts later: it admits and
+// applies ev the same way, but returns only the admission verdict (nil
+// means admitted); an apply-time rejection surfaces through Quarantined
+// and Stats. Neither path elects: a burst of ingested events costs one
+// election, at the next Cover.
 func (e *Engine) Ingest(ev Event) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	defer e.publish()
-	if err := e.admit(ev); err != nil {
+	if admitted, err := e.step(ev); !admitted {
 		return err
-	}
-	e.pending = append(e.pending, ev)
-	if len(e.pending) >= maxPending {
-		e.flush()
 	}
 	return nil
 }
 
-// Step is the low-latency path: admit ev and apply it (after any pending
-// batch) immediately. The returned error is the event's full admission or
-// application verdict.
-func (e *Engine) Step(ev Event) error {
+// step admits ev and, once it is admitted, applies it, quarantining it if
+// the application fails. It reports whether ev was admitted and its full
+// verdict.
+func (e *Engine) step(ev Event) (admitted bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	defer e.publish()
 	if err := e.admit(ev); err != nil {
-		return err
+		return false, err
 	}
-	e.flush()
-	return e.applyOne(ev)
-}
-
-// Flush applies every pending event in admission order.
-func (e *Engine) Flush() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.flush()
-	e.publish()
-}
-
-func (e *Engine) flush() {
-	for _, ev := range e.pending {
-		_ = e.applyOne(ev) // verdict recorded in the quarantine
-	}
-	e.pending = e.pending[:0]
+	return true, e.applyOne(ev)
 }
 
 // elect re-runs the canonical election over the live topology, replaying
@@ -561,13 +535,11 @@ func (e *Engine) elect() {
 	e.coverStale = false
 }
 
-// Cover flushes pending events, re-elects if needed, and returns the
-// active coverage set: the live internal nodes the canonical schedule
-// keeps, sorted by id.
+// Cover re-elects if needed and returns the active coverage set: the live
+// internal nodes the canonical schedule keeps, sorted by id.
 func (e *Engine) Cover() []graph.NodeID {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.flush()
 	e.elect()
 	e.publish()
 	return append([]graph.NodeID(nil), e.cover...)
@@ -578,13 +550,6 @@ func (e *Engine) Watermark() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.watermark
-}
-
-// PendingLen reports the backpressure queue depth.
-func (e *Engine) PendingLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.pending)
 }
 
 // LiveCount reports the number of live nodes (boundary included).
@@ -608,14 +573,12 @@ func (e *Engine) Quarantined() []Rejection {
 	return append([]Rejection(nil), e.quarantine...)
 }
 
-// MaterializedNetwork flushes pending events and returns the live topology
-// as a batch-schedulable network — the object the differential convergence
-// suite feeds to core.Schedule.
+// MaterializedNetwork returns the live topology as a batch-schedulable
+// network — the object the differential convergence suite feeds to
+// core.Schedule.
 func (e *Engine) MaterializedNetwork() core.Network {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.flush()
-	e.publish()
 	cycles := make([][]graph.NodeID, len(e.cycles))
 	for i, c := range e.cycles {
 		cycles[i] = append([]graph.NodeID(nil), c...)
@@ -633,13 +596,11 @@ type NodeAt struct {
 	X, Y float64
 }
 
-// LiveNodesAt flushes pending events and returns the live nodes with their
-// current positions, sorted by id.
+// LiveNodesAt returns the live nodes with their current positions, sorted
+// by id.
 func (e *Engine) LiveNodesAt() []NodeAt {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.flush()
-	e.publish()
 	return e.liveNodesAt()
 }
 
@@ -696,13 +657,12 @@ func CoverFingerprintOf(tau int, seed int64, nodes []NodeAt, edges []graph.Edge,
 	return sha256.Sum256(b)
 }
 
-// CoverFingerprint flushes, re-elects, and returns the engine's side of
+// CoverFingerprint re-elects if needed and returns the engine's side of
 // the convergence identity: the hash of (tau, seed, live nodes with
 // positions, live edges, cover).
 func (e *Engine) CoverFingerprint() [32]byte {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.flush()
 	e.elect()
 	e.publish()
 	return CoverFingerprintOf(e.tau, e.seed, e.liveNodesAt(), e.topo.edges(true), e.cover)
@@ -751,14 +711,12 @@ func (e *Engine) stateBytes() []byte {
 	return b
 }
 
-// StateFingerprint flushes pending events and hashes the full engine
-// state. Two engines with equal state fingerprints are observationally
-// identical: same universe, same liveness, same watermark, and therefore
-// (by canonical election) the same cover for the rest of time.
+// StateFingerprint hashes the full engine state. Two engines with equal
+// state fingerprints are observationally identical: same universe, same
+// liveness, same watermark, and therefore (by canonical election) the
+// same cover for the rest of time.
 func (e *Engine) StateFingerprint() [32]byte {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.flush()
-	e.publish()
 	return sha256.Sum256(e.stateBytes())
 }

@@ -145,10 +145,9 @@ func TestEngineDifferentialConvergence(t *testing.T) {
 	}
 }
 
-// TestEngineBatchedEqualsStepped: backpressure batching and the per-event
-// path land on identical state and cover.
-// The stream is long enough to fill the queue twice, so the batched engine
-// applies full batches at the queue cap before the final flush.
+// TestEngineBatchedEqualsStepped: ingesting a long stream and electing
+// once lands on the state and cover of stepping and electing after every
+// event.
 func TestEngineBatchedEqualsStepped(t *testing.T) {
 	net, pos := testDeploy(t, 70, 6, 6, 1.6)
 	cfg := Config{Tau: 3, Seed: 5, Radius: 1.6, Positions: pos}
@@ -161,7 +160,7 @@ func TestEngineBatchedEqualsStepped(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMutator(net, cfg, 44)
-	for i := 0; i < 2*maxPending+8; i++ {
+	for i := 0; i < 520; i++ {
 		ev := m.Next()
 		if err := stepped.Step(ev); err != nil {
 			t.Fatalf("step %d: %v", i, err)
@@ -169,9 +168,6 @@ func TestEngineBatchedEqualsStepped(t *testing.T) {
 		stepped.Cover() // the low-latency consumer polls after every event
 		if err := batched.Ingest(ev); err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
-		}
-		if batched.PendingLen() >= maxPending {
-			t.Fatalf("backpressure cap not enforced: %d pending", batched.PendingLen())
 		}
 	}
 	if stepped.StateFingerprint() != batched.StateFingerprint() {
@@ -491,9 +487,9 @@ func TestEventDecodeMalformed(t *testing.T) {
 	}
 }
 
-// TestEngineBatchedRejectsAsStepped: a batch applies every admitted event
+// TestEngineBatchedRejectsAsStepped: Ingest applies every admitted event
 // as Step does, so two ticks of an absent node are both rejected, with
-// the same quarantine, whether they are ingested and flushed or stepped.
+// the same quarantine, whether they are ingested or stepped.
 func TestEngineBatchedRejectsAsStepped(t *testing.T) {
 	net, pos := testDeploy(t, 85, 5, 5, 1.6)
 	cfg := Config{Tau: 3, Seed: 1, Radius: 1.6, Positions: pos}
@@ -514,7 +510,6 @@ func TestEngineBatchedRejectsAsStepped(t *testing.T) {
 			t.Fatalf("step %v: %v, want ErrInvalidEvent", ev, err)
 		}
 	}
-	batched.Flush()
 	if b, s := batched.Stats().Rejected, stepped.Stats().Rejected; b != s || s != 2 {
 		t.Fatalf("rejected %d batched, %d stepped; want 2 each", b, s)
 	}

@@ -8,9 +8,9 @@
 // (DESIGN.md §13).
 //
 // The package's convergence contract: after any admitted event prefix —
-// reached by live ingestion, by batched application, or by snapshot+WAL
-// recovery from a kill at any byte — the engine's cover equals the batch
-// canonical schedule of the materialized topology, byte for byte.
+// reached by stepped or ingested events, or by snapshot+WAL recovery from
+// a kill at any byte — the engine's cover equals the batch canonical
+// schedule of the materialized topology, byte for byte.
 package stream
 
 import (

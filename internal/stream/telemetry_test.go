@@ -9,10 +9,9 @@ import (
 )
 
 // TestStatsConcurrentWithApply is the -race witness for the engine's
-// internal mutex: observers poll Stats, Watermark, PendingLen and
-// LiveCount while a producer streams events through Step and Ingest. Any
-// unsynchronized access to the counters or the pending queue trips the
-// race detector.
+// internal mutex: observers poll Stats, Watermark and LiveCount while a
+// producer streams events through Step and Ingest. Any unsynchronized
+// access to the counters or the topology trips the race detector.
 func TestStatsConcurrentWithApply(t *testing.T) {
 	net, pos := testDeploy(t, 50, 6, 6, 1.6)
 	e, err := New(net, Config{Tau: 4, Seed: 11, Positions: pos, Radius: 1.6})
@@ -33,7 +32,6 @@ func TestStatsConcurrentWithApply(t *testing.T) {
 				}
 				_ = e.Stats()
 				_ = e.Watermark()
-				_ = e.PendingLen()
 				_ = e.LiveCount()
 			}
 		}()

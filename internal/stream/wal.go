@@ -65,14 +65,13 @@ func decodeWALHeader(p []byte, cfg Config) error {
 	return nil
 }
 
-// Snapshot flushes pending events and writes the engine's full state as
-// one framed record; returns the bytes written. A snapshot plus the WAL
-// suffix after its watermark is a complete recovery pair.
+// Snapshot writes the engine's full state as one framed record; returns
+// the bytes written. A snapshot plus the WAL suffix after its watermark is
+// a complete recovery pair.
 func (e *Engine) Snapshot(w io.Writer) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	defer e.publish()
-	e.flush()
 	state := e.stateBytes()
 	sum := sha256.Sum256(state)
 	payload := make([]byte, 0, len(snapMagic)+len(state)+len(sum))

@@ -90,8 +90,11 @@ echo '== chaos smoke (race + deep assertions)'
 # The reliability/fault-injection matrix under the race detector with the
 # dccdebug MIS-independence assertions armed — the combination neither
 # plain gate above covers — plus the differential test that pins fault-free
-# and give-up-free AckFloods runs to core.Parallel node for node. -short
-# trims both to a smoke-sized slice.
+# and give-up-free AckFloods runs to core.Parallel node for node. Both also
+# check every run against its recorded result (deletion order, crashed and
+# recovered nodes, final graph, every Stats field) in
+# internal/dist/testdata/run_golden.txt. -short trims both to a
+# smoke-sized slice and compares the runs in it.
 go test -short -race -tags dccdebug -run '^TestChaosMatrix$|^TestParallelMatchesDistributed$' ./internal/dist
 
 echo '== streaming chaos smoke (race + deep assertions)'
