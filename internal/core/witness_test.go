@@ -12,7 +12,7 @@ import (
 )
 
 // witnessResidual is the election's residual over a Cache that, after
-// every Commit, checks each dirty verdict the witness rule kept cached
+// every deletion, checks each dirty verdict the witness rule kept cached
 // against VertexDeletable on the materialized live graph.
 type witnessResidual struct {
 	t     *testing.T
@@ -23,10 +23,11 @@ type witnessResidual struct {
 
 func (r *witnessResidual) Alive(v graph.NodeID) bool { return r.cache.Alive(v) }
 
-func (r *witnessResidual) Commit(deleted []graph.NodeID) []graph.NodeID {
-	dirty := r.cache.Commit(deleted)
+func (r *witnessResidual) Delete(v graph.NodeID) []int32 {
+	dirty := r.cache.CommitBall(v, r.cache.Ball(v))
 	var live *graph.Graph
-	for _, w := range dirty {
+	for _, wi := range dirty {
+		w := r.cache.View().Base().NodeAt(int(wi))
 		x, ok := r.cache.Cached(w)
 		if !ok {
 			continue
@@ -36,8 +37,8 @@ func (r *witnessResidual) Commit(deleted []graph.NodeID) []graph.NodeID {
 		}
 		r.kept++
 		if want := vpt.VertexDeletable(live, w, r.cache.Tau()); x.Deletable() != want {
-			r.t.Fatalf("%s: after deleting %v, node %d kept %v but fresh says %v",
-				r.label, deleted, w, x.Deletable(), want)
+			r.t.Fatalf("%s: after deleting %d, node %d kept %v but fresh says %v",
+				r.label, v, w, x.Deletable(), want)
 		}
 	}
 	return dirty
@@ -67,8 +68,8 @@ func TestWitnessKeptVerdictsMatchFresh(t *testing.T) {
 				engine string
 				q      *fifoQueue
 			}{
-				{"sequential", newFIFOQueue(order)},
-				{"canonical", newCanonicalQueue(rng.Int63(), nodes)},
+				{"sequential", newFIFOQueue(g, order)},
+				{"canonical", newCanonicalQueue(g, rng.Int63(), nodes)},
 			} {
 				cache := vpt.NewCache(g, tau)
 				res := &witnessResidual{t: t, cache: cache}

@@ -14,6 +14,8 @@ type debugState struct{}
 
 func debugCheckSpan(*Workspace, *graph.Graph, int, bool) {}
 
-func debugCheckCertified(*Workspace, *graph.Graph, int) {}
+func debugCheckCertified(*Workspace, *graph.Adjacency, int) {}
+
+func debugCheckFilter(*Workspace, *graph.Graph, int, bool) {}
 
 func debugCheckPartition(*graph.Graph, bitvec.Vector, int, bool) {}

@@ -4,6 +4,7 @@ package cycles
 
 import (
 	"fmt"
+	"slices"
 
 	"dcc/internal/bitvec"
 	"dcc/internal/graph"
@@ -19,10 +20,12 @@ import (
 // by the co-tree engine, at any size.
 const debugSpanLimit = 1000
 
-// debugState is the reference's echelon, reused so that a warm Workspace
-// stays allocation-free with the check armed.
+// debugState is the reference's echelon and the unfiltered engine's
+// workspace, reused so that a warm Workspace stays allocation-free with
+// the checks armed.
 type debugState struct {
 	ech *bitvec.Echelon
+	ref *Workspace
 }
 
 // debugCheckSpan cross-checks the span verdict ws computed on g.
@@ -40,15 +43,48 @@ func debugCheckSpan(ws *Workspace, g *graph.Graph, tau int, got bool) {
 }
 
 // debugCheckCertified cross-checks a span the fan certificate proved on
-// g: the co-tree engine, whatever g's size, and the reference, within its
+// a: the co-tree engine, whatever a's size, and the reference, within its
 // limit, must find it too. It leaves the engine's state in ws.
-func debugCheckCertified(ws *Workspace, g *graph.Graph, tau int) {
-	core := g.TwoCoreInto(&ws.core, ws.s)
+func debugCheckCertified(ws *Workspace, a *graph.Adjacency, tau int) {
+	core := a.TwoCoreInto(&ws.core, ws.s)
 	if !ws.spansAll(core, tau) {
 		panic(fmt.Sprintf("cycles debug: fan certificate holds, co-tree engine finds no span (n=%d m=%d tau=%d)",
-			g.NumNodes(), g.NumEdges(), tau))
+			core.NumNodes(), core.NumEdges(), tau))
 	}
 	debugCheckSpan(ws, core, tau, true)
+}
+
+// debugCheckFilter cross-checks the end state of a span built with the
+// Horton pass's empty-image filter against an unfiltered pass over g: the
+// verdict, the rank, the class partition, the deferred images and, for a
+// "no", the unspanned cycle must all agree.
+func debugCheckFilter(ws *Workspace, g *graph.Graph, tau int, got bool) {
+	if ws.dbg.ref == nil {
+		ws.dbg.ref = NewWorkspace()
+	}
+	ref := ws.dbg.ref
+	want := ref.span(g, tau, false)
+	fail := func(what string) {
+		panic(fmt.Sprintf("cycles debug: filtered Horton pass differs from an unfiltered one in its %s (n=%d m=%d tau=%d)",
+			what, g.NumNodes(), g.NumEdges(), tau))
+	}
+	if got != want {
+		fail("verdict")
+	}
+	if ws.rank != ref.rank || ws.ech.Rank() != ref.ech.Rank() {
+		fail("rank")
+	}
+	for c := range ws.uf {
+		if ws.find(int32(c)) != ref.find(int32(c)) {
+			fail("partition")
+		}
+	}
+	if !slices.Equal(ws.def, ref.def) {
+		fail("deferred images")
+	}
+	if !got && !slices.Equal(ws.UnspannedCycle(), ref.UnspannedCycle()) {
+		fail("unspanned cycle")
+	}
 }
 
 // debugCheckPartition cross-checks a Partitionable answer.

@@ -38,7 +38,7 @@ func referenceSpan(g *graph.Graph, tau int, ech *bitvec.Echelon, s *graph.Scratc
 		return insert(t[:])
 	})
 	if !full && tau > 3 {
-		g.ForEachHortonCandidateWith(s, tau, func(_ graph.NodeID, _ int, edges []int32) bool {
+		g.ForEachHortonCandidateWith(s, tau, nil, func(_ graph.NodeID, _ int, edges []int32) bool {
 			return insert(edges)
 		})
 	}

@@ -36,18 +36,20 @@ type Workspace struct {
 
 	certified bool // the fan certificate decided the last SpannedByShortWS
 
-	cot  []int32 // edge → co-tree coordinate, −1 on the spanning forest
-	nu   int     // cycle-space dimension; also the zero element's index
-	uf   []int32 // union-find over coordinates and zero: parent, or −size at a root
-	rank int     // merges so far
-	par  []uint8 // class parity of the image under construction, by root
-	img  []int32 // roots flipped to odd parity while an image is built
-	def  []int32 // deferred images, each a length followed by its roots
-	ech  *bitvec.Echelon
-	lab  []int32 // root → residue echelon column, −1 until numbered
-	nlab int32
-	cyc  []graph.NodeID // UnspannedCycle's result
-	dbg  debugState
+	cot    []int32 // edge → co-tree coordinate, −1 on the spanning forest
+	nu     int     // cycle-space dimension; also the zero element's index
+	uf     []int32 // union-find over coordinates and zero: parent, or −size at a root
+	rank   int     // merges so far
+	par    []uint8 // class parity of the image under construction, by root
+	img    []int32 // roots flipped to odd parity while an image is built
+	def    []int32 // deferred images, each a length followed by its roots
+	ech    *bitvec.Echelon
+	lab    []int32 // root → residue echelon column, −1 until numbered
+	nlab   int32
+	bit    []uint64       // root → its class's bit in the Horton pass's labels
+	labels []uint64       // edge → the bit of its class, 0 on the forest and in zero's
+	cyc    []graph.NodeID // UnspannedCycle's result
+	dbg    debugState
 }
 
 // NewWorkspace returns an empty Workspace.
@@ -65,16 +67,25 @@ func NewWorkspace() *Workspace {
 // span engine run, so the engine decides every "not spanned" verdict and
 // the few "spanned" ones the certificate misses.
 func SpannedByShortWS(g *graph.Graph, tau int, ws *Workspace) bool {
-	if g.FanCertified(ws.s, tau) {
-		debugCheckCertified(ws, g, tau) // no-op unless built with -tags dccdebug
-		// Nothing the engine left in ws describes g.
+	return SpannedByShortAdj(&g.Adjacency, tau, ws)
+}
+
+// SpannedByShortAdj is SpannedByShortWS on a graph's adjacency alone, the
+// form the deletability test calls on the Γ^k(v) it extracts without an
+// edge index (graph.DeleteView.BallInto): the fan certificate reads only
+// the adjacency, and the span engine runs on the 2-core, which
+// Adjacency.TwoCoreInto builds in full.
+func SpannedByShortAdj(a *graph.Adjacency, tau int, ws *Workspace) bool {
+	if a.FanCertified(ws.s, tau) {
+		debugCheckCertified(ws, a, tau) // no-op unless built with -tags dccdebug
+		// Nothing the engine left in ws describes a.
 		ws.certified = true
 		ws.ech.Reset(0)
 		return true
 	}
 	// Trees carry no cycles; restricting to the 2-core preserves the cycle
 	// space while shrinking the candidate generation work.
-	core := g.TwoCoreInto(&ws.core, ws.s)
+	core := a.TwoCoreInto(&ws.core, ws.s)
 	ok := ws.spansAll(core, tau)
 	debugCheckSpan(ws, core, tau, ok) // no-op unless built with -tags dccdebug
 	return ok
@@ -93,7 +104,26 @@ func (ws *Workspace) Certified() bool { return ws.certified }
 // are retried after each pass and the rest is reduced in the residue
 // echelon. The only early exit is full rank, after which every cycle of g
 // is in the span, so the span ws holds is exact for membership tests too.
+//
+// The Horton pass skips the candidates whose image is empty, which is
+// nearly all of them: adding one changes nothing. With at most 64 classes
+// besides zero's, each gets a bit, every edge is labelled with the bit of
+// its co-tree coordinate's class (0 on the forest and in zero's class),
+// and the enumeration drops the candidates whose labels XOR to zero — the
+// XOR is exactly the image. The rest go through add in the same order as
+// unfiltered. A merge maps the classes onto fewer by a linear map, so an
+// image empty under older labels is empty now; the relabel after a merge
+// only lets the filter skip what the merge spanned. So the partition, the
+// deferred images, the residue and UnspannedCycle come out as an
+// unfiltered pass leaves them (the dccdebug build checks it).
 func (ws *Workspace) spansAll(g *graph.Graph, tau int) bool {
+	ok := ws.span(g, tau, true)
+	debugCheckFilter(ws, g, tau, ok) // no-op unless built with -tags dccdebug
+	return ok
+}
+
+// span is spansAll with the Horton pass's empty-image filter on or off.
+func (ws *Workspace) span(g *graph.Graph, tau int, filter bool) bool {
 	ws.reset(g)
 	if ws.nu == 0 || tau < 3 {
 		return ws.nu == 0
@@ -108,9 +138,17 @@ func (ws *Workspace) spansAll(g *graph.Graph, tau int) bool {
 		return true
 	}
 	if tau > 3 {
-		g.ForEachHortonCandidateWith(ws.s, tau, func(_ graph.NodeID, length int, edges []int32) bool {
+		var labels []uint64
+		if filter {
+			labels = ws.labelClasses()
+		}
+		g.ForEachHortonCandidateWith(ws.s, tau, labels, func(_ graph.NodeID, length int, edges []int32) bool {
 			if length > 3 {
+				rank := ws.rank
 				full = ws.add(edges)
+				if labels != nil && ws.rank != rank {
+					ws.relabel()
+				}
 			}
 			return !full
 		})
@@ -119,6 +157,49 @@ func (ws *Workspace) spansAll(g *graph.Graph, tau int) bool {
 		}
 	}
 	return ws.residue()
+}
+
+// labelClasses gives each class other than zero's a bit of its own, labels
+// the edges with them (relabel) and returns the labels, or nil when more
+// than 64 such classes remain. Every root now was a root when the bits
+// were handed out, since merges only retire roots, so the bits stay valid
+// for the whole pass.
+func (ws *Workspace) labelClasses() []uint64 {
+	if ws.nu-ws.rank > 64 {
+		return nil
+	}
+	n := ws.nu + 1
+	if cap(ws.bit) < n {
+		ws.bit = make([]uint64, n)
+	}
+	ws.bit = ws.bit[:n]
+	next := uint(0)
+	for c, p := range ws.uf[:ws.nu] {
+		if p < 0 {
+			ws.bit[c] = 1 << next
+			next++
+		}
+	}
+	ws.bit[ws.nu] = 0
+	m := len(ws.cot)
+	if cap(ws.labels) < m {
+		ws.labels = make([]uint64, m)
+	}
+	ws.labels = ws.labels[:m]
+	ws.relabel()
+	return ws.labels
+}
+
+// relabel sets every edge's label to the bit of its co-tree coordinate's
+// current class, 0 on the spanning forest.
+func (ws *Workspace) relabel() {
+	for e, c := range ws.cot {
+		l := uint64(0)
+		if c >= 0 {
+			l = ws.bit[ws.find(c)]
+		}
+		ws.labels[e] = l
+	}
 }
 
 // reset points ws at g: co-tree coordinates, every class a singleton,

@@ -28,14 +28,17 @@ type Scratch struct {
 	// Per-node counters: compactInduced and TwoCore degrees.
 	deg []int32
 	// Search-tree state by node index, grown on demand (ensureTree):
-	// depth, parent (or source, in the pair search) and parent edge, plus
-	// the candidate edge list of the Horton enumeration.
-	depth, parent, parentEdge []int32
-	path                      []int32
+	// depth, parent (or source, in the pair search), parent edge and the
+	// root's child on the tree path, plus the candidate edge list and the
+	// label sums of the Horton enumeration.
+	depth, parent, parentEdge, branch []int32
+	path                              []int32
+	sum                               []uint64
 	// The fan certificate's vertex positions, adjacency rows and working
 	// sets (FanCertified).
 	pos []int32
 	fan []uint64
+	dbg debugScratch // the dccdebug checks' own storage, empty otherwise
 }
 
 // NewScratch returns a Scratch pre-sized for graphs up to g's order. A nil
@@ -64,6 +67,7 @@ func (s *Scratch) ensureTree(n int) {
 		s.depth = make([]int32, n)
 		s.parent = make([]int32, n)
 		s.parentEdge = make([]int32, n)
+		s.branch = make([]int32, n)
 	}
 }
 
@@ -112,13 +116,14 @@ func getScratch(n int) *Scratch {
 
 func putScratch(s *Scratch) { scratchPool.Put(s) }
 
-// GraphBuf is caller-owned storage for one Graph: the constructors that
-// build into a GraphBuf (compactInducedInto, TwoCoreInto,
-// DeleteView.ExtractNeighborhoodInto) reuse its arrays, so a warm GraphBuf
-// makes them allocation-free. The Graph they return, and the node list
-// ExtractNeighborhoodInto returns with it, live in the GraphBuf and stay
-// valid until the next build into it. The zero value is ready to use; a
-// GraphBuf is not safe for concurrent use.
+// GraphBuf is caller-owned storage for one Graph or Adjacency: the
+// constructors that build into a GraphBuf (compactInducedInto,
+// compactAdjInto, TwoCoreInto, DeleteView.ExtractNeighborhoodInto and
+// BallInto) reuse its arrays, so a warm GraphBuf makes them
+// allocation-free. What they return, and the node list the DeleteView
+// extractions return with it, live in the GraphBuf and stay valid until the
+// next build into it. The zero value is ready to use; a GraphBuf is not
+// safe for concurrent use.
 type GraphBuf struct {
 	g Graph // the graph built last; its slices alias the arrays below
 	// Backing arrays of g's fields, grown on demand.
@@ -142,7 +147,7 @@ func short[T any](buf []T, n int) bool { return buf == nil || cap(buf) < n }
 // lists sorted with the parallel edge-index lists — in two array passes
 // with no maps, which is what makes per-candidate neighbourhood extraction
 // affordable inside the deletability hot loop. b must not hold g.
-func (g *Graph) compactInducedInto(b *GraphBuf, keep []int32, s *Scratch) *Graph {
+func (g *Adjacency) compactInducedInto(b *GraphBuf, keep []int32, s *Scratch) *Graph {
 	s.ensure(len(g.ids))
 	nl := len(keep)
 	if short(b.ids, nl) {
@@ -185,12 +190,12 @@ func (g *Graph) compactInducedInto(b *GraphBuf, keep []int32, s *Scratch) *Graph
 		b.edgeU, b.edgeV = make([]int32, ne), make([]int32, ne)
 	}
 	sub.edgeU, sub.edgeV = b.edgeU[:ne], b.edgeV[:ne]
-	if short(b.nbr, 2*ne) {
+	if short(b.nbr, 2*ne) || short(b.nbrEs, 2*ne) {
 		b.nbr, b.nbrEs = make([]int32, 2*ne), make([]int32, 2*ne)
 	}
 	// Lay the adjacency lists out back to back; deg becomes each list's
 	// fill cursor.
-	nbr, nbrEs := b.nbr, b.nbrEs
+	nbr, nbrEs := b.nbr[:2*ne], b.nbrEs[:2*ne]
 	off := int32(0)
 	for li, d := range deg {
 		if d == 0 {
@@ -232,9 +237,51 @@ func (g *Graph) compactInducedInto(b *GraphBuf, keep []int32, s *Scratch) *Graph
 	return sub
 }
 
+// compactAdjInto builds into b the adjacency of the subgraph induced by
+// the base-index set keep (strictly ascending) and returns it: the node IDs
+// and adjacency lists compactInducedInto would build, in one pass over the
+// kept nodes' lists, without the edge index. An isolated node's list is
+// empty rather than nil. b must not hold g.
+func (g *Adjacency) compactAdjInto(b *GraphBuf, keep []int32, s *Scratch) *Adjacency {
+	s.ensure(len(g.ids))
+	nl := len(keep)
+	if short(b.ids, nl) {
+		b.ids, b.adj, b.adjEdge = make([]NodeID, nl), make([][]int32, nl), make([][]int32, nl)
+	}
+	b.g = Graph{Adjacency: Adjacency{ids: b.ids[:nl], adj: b.adj[:nl]}}
+	sub := &b.g.Adjacency
+	ep := s.nextLocalEpoch()
+	local, lstamp := s.local[:len(g.ids)], s.lstamp[:len(g.ids)]
+	for li, bi := range keep {
+		sub.ids[li] = g.ids[bi]
+		local[bi] = int32(li)
+		lstamp[bi] = ep
+	}
+	// Local order equals ID order (keep ascending), so each filtered list
+	// comes out ascending. start holds each list's offset into nbr until
+	// the lists are cut, last to first.
+	start := s.ensureDeg(nl)
+	nbr := b.nbr[:0]
+	for li, bi := range keep {
+		start[li] = int32(len(nbr))
+		for _, w := range g.adj[bi] {
+			if lstamp[w] == ep {
+				nbr = append(nbr, local[w])
+			}
+		}
+	}
+	b.nbr = nbr
+	end := int32(len(nbr))
+	for li := nl - 1; li >= 0; li-- {
+		sub.adj[li] = nbr[start[li]:end:end]
+		end = start[li]
+	}
+	return sub
+}
+
 // compactInduced is compactInducedInto on fresh storage: the returned
 // Graph owns its arrays.
-func (g *Graph) compactInduced(keep []int32, s *Scratch) *Graph {
+func (g *Adjacency) compactInduced(keep []int32, s *Scratch) *Graph {
 	return g.compactInducedInto(new(GraphBuf), keep, s)
 }
 

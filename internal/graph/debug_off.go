@@ -8,3 +8,7 @@ package graph
 const debugChecks = false
 
 func debugCheckGraph(*Graph) {}
+
+type debugScratch struct{}
+
+func debugCheckBall(*DeleteView, NodeID, int, *Scratch, *Adjacency, []NodeID) {}

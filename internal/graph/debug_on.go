@@ -2,7 +2,10 @@
 
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // debugChecks gates the deep structural invariant assertions; this build
 // has them on (-tags dccdebug).
@@ -67,5 +70,32 @@ func debugCheckGraph(g *Graph) {
 	}
 	if total != 2*len(g.edges) {
 		panic(fmt.Sprintf("graph debug: handshake sum %d != 2·%d edges", total, len(g.edges)))
+	}
+}
+
+// debugScratch is a Scratch's storage for the checks below, reused so that
+// a warm Scratch stays allocation-free with them armed.
+type debugScratch struct {
+	s *Scratch
+	b *GraphBuf
+}
+
+// debugCheckBall panics unless the adjacency-only Γ^k(v) that BallInto
+// built on s, with v's direct neighbours, equals ExtractNeighborhood's node
+// IDs, adjacency lists and neighbours (an empty list matching a nil one).
+func debugCheckBall(d *DeleteView, v NodeID, k int, s *Scratch, nb *Adjacency, direct []NodeID) {
+	if s.dbg.s == nil {
+		s.dbg.s, s.dbg.b = NewScratch(d.g), new(GraphBuf)
+	}
+	want, wantDirect := d.ExtractNeighborhoodInto(v, k, s.dbg.s, s.dbg.b)
+	if !slices.Equal(nb.ids, want.ids) || !slices.Equal(direct, wantDirect) {
+		panic(fmt.Sprintf("graph debug: ball of %d (k=%d): ids %v and neighbours %v, extraction has %v and %v",
+			v, k, nb.ids, direct, want.ids, wantDirect))
+	}
+	for i := range nb.adj {
+		if !slices.Equal(nb.adj[i], want.adj[i]) {
+			panic(fmt.Sprintf("graph debug: ball of %d (k=%d): node %d adjacency %v, extraction has %v",
+				v, k, nb.ids[i], nb.adj[i], want.adj[i]))
+		}
 	}
 }

@@ -25,7 +25,7 @@ const fanMaxOrder = 1024
 // adjacency cut to the positions below i, and the components and links
 // come from flooding rows. Graphs above fanMaxOrder nodes and tau < 3 are
 // declined. Runs on the caller's scratch, allocation-free once s is warm.
-func (g *Graph) FanCertified(s *Scratch, tau int) bool {
+func (g *Adjacency) FanCertified(s *Scratch, tau int) bool {
 	n := len(g.ids)
 	if tau < 3 || n > fanMaxOrder {
 		return false
@@ -71,7 +71,7 @@ func (g *Graph) FanCertified(s *Scratch, tau int) bool {
 // fanRows lays g's adjacency out in s as bitset rows of w words, row p
 // holding the order positions of the neighbours of the vertex at position
 // p, with room for five working sets after them, and returns the rows.
-func (g *Graph) fanRows(s *Scratch, w int) []uint64 {
+func (g *Adjacency) fanRows(s *Scratch, w int) []uint64 {
 	n := len(g.ids)
 	s.ensure(n)
 	ep := s.nextEpoch()

@@ -80,9 +80,11 @@ func (b *Builder) Build() (*Graph, error) {
 
 	m := len(b.edges)
 	edgeU, edgeV := make([]int32, m), make([]int32, m)
+	// index finds nodes 0…n−1 without a search.
+	nodes := Adjacency{ids: b.nodes}
 	for i, e := range b.edges {
-		u, uok := slices.BinarySearch(b.nodes, e.U)
-		v, vok := slices.BinarySearch(b.nodes, e.V)
+		u, uok := nodes.index(e.U)
+		v, vok := nodes.index(e.V)
 		if !uok || !vok {
 			// An endpoint was never added as a node: every endpoint joins
 			// the node records, and the build starts over.
@@ -95,11 +97,10 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	n := len(b.nodes)
 	g := &Graph{
-		ids:     append(make([]NodeID, 0, n), b.nodes...),
-		adj:     make([][]int32, n),
-		adjEdge: make([][]int32, n),
-		edgeU:   edgeU,
-		edgeV:   edgeV,
+		Adjacency: Adjacency{ids: append(make([]NodeID, 0, n), b.nodes...), adj: make([][]int32, n)},
+		adjEdge:   make([][]int32, n),
+		edgeU:     edgeU,
+		edgeV:     edgeV,
 	}
 	if m > 0 {
 		g.edges = append(make([]Edge, 0, m), b.edges...)
@@ -165,17 +166,33 @@ func FromEdges(edges []Edge, isolated ...NodeID) (*Graph, error) {
 // Map-free construction is what makes the compact-subgraph path (compact.go)
 // cheap enough to run inside the deletability hot loop.
 type Graph struct {
-	ids     []NodeID
-	adj     [][]int32 // adjacency by internal index, sorted
+	Adjacency
 	adjEdge [][]int32 // edge index parallel to adj
 	edges   []Edge
 	edgeU   []int32 // internal index of edges[i].U (dense, for scan loops)
 	edgeV   []int32 // internal index of edges[i].V
 }
 
-// index returns the dense index of v via binary search over the sorted ID
-// list, with ok reporting membership.
-func (g *Graph) index(v NodeID) (int, bool) {
+// Adjacency is a graph's node list and sorted adjacency lists without its
+// edge index: all that the searches of the deletability test (the
+// connectivity and confinement checks, the fan certificate, the witness
+// paths) and the 2-core peel read. Every Graph embeds one. An Adjacency
+// built on its own (DeleteView.BallInto) has no edge methods, so no edge
+// query on it can come out silently wrong; TwoCoreInto builds the full
+// graph that edge-indexed work (the span engine) needs.
+type Adjacency struct {
+	ids []NodeID
+	adj [][]int32 // adjacency by internal index, sorted
+}
+
+// index returns the dense index of v, with ok reporting membership. IDs
+// are distinct, non-negative and ascending, so ids[v] == v places v at
+// index v; the usual node set 0…n−1 resolves that way, any other by
+// binary search over the sorted ID list.
+func (g *Adjacency) index(v NodeID) (int, bool) {
+	if uint(v) < uint(len(g.ids)) && g.ids[v] == v {
+		return int(v), true
+	}
 	lo, hi := 0, len(g.ids)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -192,7 +209,7 @@ func (g *Graph) index(v NodeID) (int, bool) {
 }
 
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.ids) }
+func (g *Adjacency) NumNodes() int { return len(g.ids) }
 
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
@@ -217,10 +234,10 @@ func (g *Graph) HasNode(v NodeID) bool {
 // v in the sorted ID list — with ok reporting membership. Dense indices are
 // stable for the graph's lifetime and are how overlay-aware callers (the
 // vpt verdict cache) key per-node state without maps.
-func (g *Graph) IndexOf(v NodeID) (int, bool) { return g.index(v) }
+func (g *Adjacency) IndexOf(v NodeID) (int, bool) { return g.index(v) }
 
 // NodeAt returns the node ID with dense index i (inverse of IndexOf).
-func (g *Graph) NodeAt(i int) NodeID { return g.ids[i] }
+func (g *Adjacency) NodeAt(i int) NodeID { return g.ids[i] }
 
 // NeighborIndices returns the dense indices of the neighbours of the node
 // with dense index i, ascending. The slice aliases the graph: callers must
@@ -491,7 +508,7 @@ func (g *Graph) IsConnectedWith(s *Scratch) bool {
 // epoch ep and returns the number of newly stamped vertices; already
 // stamped regions are skipped, so repeated floods under one epoch
 // enumerate components. The traversal borrows s.queue.
-func (g *Graph) flood(s *Scratch, start int32, ep int32) int {
+func (g *Adjacency) flood(s *Scratch, start int32, ep int32) int {
 	if s.stamp[start] == ep {
 		return 0
 	}
@@ -639,8 +656,9 @@ func (g *Graph) TwoCore() *Graph {
 }
 
 // TwoCoreInto is TwoCore built into b on the caller's scratch; the result
-// stays valid until the next build into b, which must not hold g.
-func (g *Graph) TwoCoreInto(b *GraphBuf, s *Scratch) *Graph {
+// stays valid until the next build into b, which must not hold g. It reads
+// only g's adjacency and builds a full Graph, edge index included.
+func (g *Adjacency) TwoCoreInto(b *GraphBuf, s *Scratch) *Graph {
 	n := len(g.ids)
 	s.ensure(n)
 	deg := s.ensureDeg(n)
@@ -687,7 +705,7 @@ func (g *Graph) TwoCoreInto(b *GraphBuf, s *Scratch) *Graph {
 // depth(x) + 1 + depth(y). The shortest pair path contains such an edge
 // with that sum at most its length, so the search is exact. Runs on the
 // caller's scratch, allocation-free once s is warm.
-func (g *Graph) AnyPairWithin(terminals []NodeID, maxHops int, s *Scratch) bool {
+func (g *Adjacency) AnyPairWithin(terminals []NodeID, maxHops int, s *Scratch) bool {
 	n := len(g.ids)
 	s.ensureTree(n)
 	ep := s.nextEpoch()

@@ -664,3 +664,53 @@ func TestAnyPairWithinMatchesPairwiseBFS(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexOfDenseAndSparseIDs: IndexOf resolves the node set 0…n−1 at
+// index v and any other set by search, and reports absent IDs — below,
+// between and above the present ones — as absent, including IDs that
+// are valid indices of the ID list.
+func TestIndexOfDenseAndSparseIDs(t *testing.T) {
+	for _, ids := range [][]NodeID{
+		{0, 1, 2, 3, 4, 5},
+		{0, 2, 3, 7, 100},
+		{1, 2, 3},
+		{3, 4, 5, 6},
+		{5},
+	} {
+		b := NewBuilder()
+		for _, v := range ids {
+			b.AddNode(v)
+		}
+		g := b.MustBuild()
+		present := make(map[NodeID]int)
+		for i, v := range ids {
+			present[v] = i
+		}
+		for v := NodeID(-2); v <= 102; v++ {
+			i, ok := g.IndexOf(v)
+			want, wantOK := present[v]
+			if ok != wantOK || (ok && i != want) {
+				t.Fatalf("ids %v: IndexOf(%d) = %d, %v; want %d, %v", ids, v, i, ok, want, wantOK)
+			}
+		}
+	}
+}
+
+// TestBuilderDenseIDsWithOutsideEndpoint: on node records 0…n−1, an edge
+// to a node that was never added still joins the graph, as with any other
+// IDs.
+func TestBuilderDenseIDsWithOutsideEndpoint(t *testing.T) {
+	b := NewBuilder()
+	for v := NodeID(0); v < 4; v++ {
+		b.AddNode(v)
+	}
+	b.AddEdge(0, 1)
+	b.AddEdge(3, 9)
+	g := b.MustBuild()
+	if got := g.Nodes(); !slices.Equal(got, []NodeID{0, 1, 2, 3, 9}) {
+		t.Fatalf("nodes %v, want [0 1 2 3 9]", got)
+	}
+	if !g.HasEdge(3, 9) || !g.HasEdge(0, 1) || g.NumEdges() != 2 {
+		t.Fatalf("edges %v, want {0,1} and {3,9}", g.Edges())
+	}
+}

@@ -19,13 +19,25 @@ package graph
 func (g *Graph) ForEachHortonCandidate(maxLen int, fn func(root NodeID, length int, edges []int32) bool) {
 	s := getScratch(len(g.ids))
 	defer putScratch(s)
-	g.ForEachHortonCandidateWith(s, maxLen, fn)
+	g.ForEachHortonCandidateWith(s, maxLen, nil, fn)
 }
 
 // ForEachHortonCandidateWith is ForEachHortonCandidate with the BFS state
 // and the candidate buffer in the caller's scratch, allocation-free once s
 // is warm. The edges slice handed to fn aliases s.
-func (g *Graph) ForEachHortonCandidateWith(s *Scratch, maxLen int, fn func(root NodeID, length int, edges []int32) bool) {
+//
+// labels, when non-nil, holds one word per edge index and filters the
+// candidates: the label of a cycle is the XOR of its edges' labels, and a
+// candidate whose label is zero is skipped before its edge list is built.
+// fn may change labels; the enumeration reads the current ones after every
+// call. With nil labels every candidate is enumerated.
+//
+// A candidate's label needs no walk: each tree node carries the XOR of the
+// labels on its tree path to the root, and the candidate's label is the XOR
+// of its endpoints' sums and its edge's label. Nor does the LCA test: each
+// tree node carries the child of the root its tree path leaves through, and
+// the LCA of x and y is the root exactly when those differ.
+func (g *Graph) ForEachHortonCandidateWith(s *Scratch, maxLen int, labels []uint64, fn func(root NodeID, length int, edges []int32) bool) {
 	n := len(g.ids)
 	if n == 0 || len(g.edges) == 0 {
 		return
@@ -42,18 +54,28 @@ func (g *Graph) ForEachHortonCandidateWith(s *Scratch, maxLen int, fn func(root 
 	// Exact-length views: the compiler drops bounds checks it can prove
 	// against n, which measurably speeds up the per-root loops.
 	depth, parent, parentEdge := s.depth[:n], s.parent[:n], s.parentEdge[:n]
-	stamp := s.stamp[:n] // BFS epoch a node was last visited in
+	branch := s.branch[:n] // the root's child on the tree path, the root for itself
+	stamp := s.stamp[:n]   // BFS epoch a node was last visited in
+	var sum []uint64       // label XOR along the tree path, with labels only
+	if labels != nil {
+		if len(s.sum) < n {
+			s.sum = make([]uint64, n)
+		}
+		sum = s.sum[:n]
+	}
 	queue := s.queue[:0]
 	buf := s.path[:0]
 
 	for ri := 0; ri < n; ri++ {
+		root := int32(ri)
 		epoch := s.nextEpoch()
 		queue = queue[:0]
-		queue = append(queue, int32(ri))
+		queue = append(queue, root)
 		stamp[ri] = epoch
 		depth[ri] = 0
 		parent[ri] = -1
 		parentEdge[ri] = -1
+		branch[ri] = root
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
 			if depthLimit >= 0 && int(depth[u]) >= depthLimit {
@@ -61,15 +83,24 @@ func (g *Graph) ForEachHortonCandidateWith(s *Scratch, maxLen int, fn func(root 
 			}
 			adj := g.adj[u]
 			adjE := g.adjEdge[u]
+			bu := branch[u]
 			for ai, w := range adj {
 				if stamp[w] != epoch {
 					stamp[w] = epoch
 					depth[w] = depth[u] + 1
 					parent[w] = u
 					parentEdge[w] = adjE[ai]
+					if u == root {
+						branch[w] = w
+					} else {
+						branch[w] = bu
+					}
 					queue = append(queue, w)
 				}
 			}
+		}
+		if sum != nil {
+			sumLabels(queue, parent, parentEdge, labels, sum)
 		}
 
 		for ei := range g.edges {
@@ -84,20 +115,13 @@ func (g *Graph) ForEachHortonCandidateWith(s *Scratch, maxLen int, fn func(root 
 			if maxLen > 0 && length > maxLen {
 				continue
 			}
-			// LCA must be the root: walk both ends upward to equal depth,
-			// then in lockstep.
-			a, b := x, y
-			for depth[a] > depth[b] {
-				a = parent[a]
+			// A non-tree edge never meets the root, whose edges are all
+			// tree edges, so the LCA is the root exactly when x and y hang
+			// from different children of it.
+			if branch[x] == branch[y] {
+				continue
 			}
-			for depth[b] > depth[a] {
-				b = parent[b]
-			}
-			for a != b {
-				a = parent[a]
-				b = parent[b]
-			}
-			if int(a) != ri {
+			if sum != nil && sum[x]^sum[y]^labels[ei] == 0 {
 				continue
 			}
 			buf = buf[:0]
@@ -112,7 +136,20 @@ func (g *Graph) ForEachHortonCandidateWith(s *Scratch, maxLen int, fn func(root 
 				s.queue, s.path = queue[:0], buf[:0]
 				return
 			}
+			if sum != nil {
+				sumLabels(queue, parent, parentEdge, labels, sum)
+			}
 		}
 	}
 	s.queue, s.path = queue[:0], buf[:0]
+}
+
+// sumLabels sets the label sum of every node of a BFS tree, given in
+// visiting order with its root first: the root's is 0, and every other
+// node's is its parent's XOR the label of its tree edge.
+func sumLabels(order, parent, parentEdge []int32, labels, sum []uint64) {
+	sum[order[0]] = 0
+	for _, w := range order[1:] {
+		sum[w] = sum[parent[w]] ^ labels[parentEdge[w]]
+	}
 }

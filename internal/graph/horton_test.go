@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -187,5 +189,76 @@ func BenchmarkHortonCandidates(b *testing.B) {
 		if n == 0 {
 			b.Fatal("no candidates")
 		}
+	}
+}
+
+// hortonCandidate is one enumerated candidate, its edges copied.
+type hortonCandidate struct {
+	root   NodeID
+	length int
+	edges  []int32
+}
+
+// TestHortonLabelFilter: with labels, the enumeration yields exactly the
+// unfiltered candidates whose edge labels XOR to a non-zero word, in the
+// unfiltered order, on random graphs, with and without a length bound.
+func TestHortonLabelFilter(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	s := NewScratch(nil)
+	filtered := 0
+	for trial := 0; trial < 40; trial++ {
+		g := randomGraph(r, 6+r.Intn(25), 0.1+r.Float64()*0.3)
+		labels := make([]uint64, g.NumEdges())
+		for e := range labels {
+			if r.Intn(3) > 0 { // a third stay zero, as forest edges do
+				labels[e] = 1 << uint(r.Intn(4))
+			}
+		}
+		for _, maxLen := range []int{-1, 4, 7} {
+			var want, got []hortonCandidate
+			g.ForEachHortonCandidateWith(s, maxLen, nil, func(root NodeID, length int, edges []int32) bool {
+				x := uint64(0)
+				for _, e := range edges {
+					x ^= labels[e]
+				}
+				if x != 0 {
+					want = append(want, hortonCandidate{root, length, slices.Clone(edges)})
+				} else {
+					filtered++
+				}
+				return true
+			})
+			g.ForEachHortonCandidateWith(s, maxLen, labels, func(root NodeID, length int, edges []int32) bool {
+				got = append(got, hortonCandidate{root, length, slices.Clone(edges)})
+				return true
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d maxLen %d: filtered enumeration gave %d candidates, want the %d with a non-zero label",
+					trial, maxLen, len(got), len(want))
+			}
+		}
+	}
+	if filtered == 0 {
+		t.Fatal("no candidate had a zero label: the filter was never exercised")
+	}
+}
+
+// TestHortonLabelsReadAfterCall: labels that fn changes are read from the
+// next candidate on, including the label sums of the current root's tree.
+// Zeroing every label in the first call leaves nothing to enumerate.
+func TestHortonLabelsReadAfterCall(t *testing.T) {
+	g := Complete(7)
+	labels := make([]uint64, g.NumEdges())
+	for e := range labels {
+		labels[e] = uint64(e%3) + 1
+	}
+	calls := 0
+	g.ForEachHortonCandidateWith(NewScratch(g), -1, labels, func(NodeID, int, []int32) bool {
+		calls++
+		clear(labels)
+		return true
+	})
+	if calls != 1 {
+		t.Fatalf("%d candidates after every label was zeroed in the first, want 1", calls)
 	}
 }

@@ -141,15 +141,41 @@ func (d *DeleteView) ExtractNeighborhoodInto(v NodeID, k int, s *Scratch, b *Gra
 	if !ok || d.gone[vi] {
 		return nil, nil
 	}
-	ball := d.ballIdx(vi, k, s)
-	sub := d.g.compactInducedInto(b, ball, s)
+	sub := d.g.compactInducedInto(b, d.ballIdx(vi, k, s), s)
+	return sub, d.directInto(b, vi)
+}
+
+// BallInto is ExtractNeighborhoodInto without the edge index: it builds
+// into b only the node IDs and adjacency lists of Γ^k(v), which are
+// ExtractNeighborhood's, and returns them with v's live direct neighbours
+// and the ball itself, the base indices KHopBallIndices(v, k, s) returns.
+// The deletability test reads nothing else until its span engine, which
+// builds the 2-core in full (Adjacency.TwoCoreInto), and a deletion of v
+// can commit the ball without searching for it again. The adjacency and
+// the neighbours live in b until its next build, the ball in s until s is
+// next used. Returns nils when v is dead or absent. Allocation-free once b
+// and s are warm.
+func (d *DeleteView) BallInto(v NodeID, k int, s *Scratch, b *GraphBuf) (nb *Adjacency, direct []NodeID, ball []int32) {
+	vi, ok := d.g.index(v)
+	if !ok || d.gone[vi] {
+		return nil, nil, nil
+	}
+	ball = d.ballIdx(vi, k, s)
+	nb, direct = d.g.compactAdjInto(b, ball, s), d.directInto(b, vi)
+	debugCheckBall(d, v, k, s, nb, direct) // no-op unless built with -tags dccdebug
+	return nb, direct, ball
+}
+
+// directInto fills b's direct-neighbour list with the live neighbours of
+// the vertex with base index vi, ascending, and returns it.
+func (d *DeleteView) directInto(b *GraphBuf, vi int) []NodeID {
 	b.direct = b.direct[:0]
 	for _, w := range d.g.adj[vi] {
 		if !d.gone[w] {
 			b.direct = append(b.direct, d.g.ids[w])
 		}
 	}
-	return sub, b.direct
+	return b.direct
 }
 
 // Mixing constants for NeighborhoodFingerprint: the seed and the two odd
@@ -227,8 +253,7 @@ func LiveInduced(ids []NodeID, adj [][]int32, dead []bool) *Graph {
 			keep = append(keep, int32(i))
 		}
 	}
-	// compactInduced reads only a graph's ids and adj.
-	sub := (&Graph{ids: ids, adj: adj}).compactInduced(keep, s)
+	sub := (&Adjacency{ids: ids, adj: adj}).compactInduced(keep, s)
 	s.ball = keep[:0]
 	return sub
 }

@@ -302,3 +302,59 @@ func TestScratchReuseAcrossGraphs(t *testing.T) {
 		}
 	}
 }
+
+// TestBallIntoMatchesExtractNeighborhood: the adjacency-only Γ^k(v) has
+// ExtractNeighborhood's node IDs, adjacency lists and direct neighbours,
+// and the ball it returns is KHopBallIndices(v, k) — on random views, with
+// one GraphBuf and one Scratch reused by every build, including builds of
+// full graphs into the same GraphBuf in between. Dead and absent nodes
+// yield nils.
+func TestBallIntoMatchesExtractNeighborhood(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	s, s2 := NewScratch(nil), NewScratch(nil)
+	var buf GraphBuf
+	for trial := 0; trial < 25; trial++ {
+		g := randomGraph(r, 5+r.Intn(40), 0.05+r.Float64()*0.25)
+		view := NewDeleteView(g)
+		dead := pickDead(r, g, 0.3)
+		for _, v := range dead {
+			view.Delete(v)
+		}
+		for _, v := range dead {
+			if nb, direct, ball := view.BallInto(v, 2, s, &buf); nb != nil || direct != nil || ball != nil {
+				t.Fatalf("trial %d: BallInto of dead node %d returned a ball", trial, v)
+			}
+		}
+		if nb, _, _ := view.BallInto(NodeID(1000), 2, s, &buf); nb != nil {
+			t.Fatal("BallInto of an absent node returned a ball")
+		}
+		for _, v := range view.LiveNodes() {
+			for k := 1; k <= 3; k++ {
+				want, wantDirect := view.ExtractNeighborhood(v, k, s2)
+				wantBall := slices.Clone(view.KHopBallIndices(v, k, s2))
+				if r.Intn(3) == 0 {
+					view.ExtractNeighborhoodInto(v, k, s, &buf) // a full build in between
+				}
+				nb, direct, ball := view.BallInto(v, k, s, &buf)
+				if !slices.Equal(nb.ids, want.ids) || !slices.Equal(direct, wantDirect) || !slices.Equal(ball, wantBall) {
+					t.Fatalf("trial %d: BallInto(%d,%d): ids %v direct %v ball %v, want %v %v %v",
+						trial, v, k, nb.ids, direct, ball, want.ids, wantDirect, wantBall)
+				}
+				if nb.NumNodes() != want.NumNodes() {
+					t.Fatalf("trial %d: BallInto(%d,%d) has %d nodes, want %d", trial, v, k, nb.NumNodes(), want.NumNodes())
+				}
+				for i := range want.adj {
+					if !slices.Equal(nb.adj[i], want.adj[i]) {
+						t.Fatalf("trial %d: BallInto(%d,%d): node %d adjacency %v, want %v",
+							trial, v, k, nb.ids[i], nb.adj[i], want.adj[i])
+					}
+				}
+				// The full graph built from the adjacency alone is the
+				// extraction's 2-core.
+				if core, wantCore := nb.TwoCoreInto(new(GraphBuf), s2), want.TwoCore(); !reflect.DeepEqual(core, wantCore) {
+					t.Fatalf("trial %d: 2-core of BallInto(%d,%d) differs from the extraction's", trial, v, k)
+				}
+			}
+		}
+	}
+}

@@ -13,7 +13,7 @@ package graph
 // is one. In a neighbourhood graph Γ^k(v) with v's direct neighbours as the
 // terminals, found always holds when the graph is disconnected: every
 // node of Γ^k(v) is reached from v through a direct neighbour.
-func (g *Graph) SeparatedTerminal(s *Scratch, terminals []NodeID) (b NodeID, found, connected bool) {
+func (g *Adjacency) SeparatedTerminal(s *Scratch, terminals []NodeID) (b NodeID, found, connected bool) {
 	n := len(g.ids)
 	if n <= 1 {
 		return 0, false, true
@@ -80,7 +80,7 @@ func (g *Graph) FundamentalCycleInto(s *Scratch, cot []int32, e int) []int32 {
 // absent from g are ignored. ok is false when a target is absent or
 // reaches no source. The slice aliases s and is valid until s is next
 // used.
-func (g *Graph) SourcePathsInto(s *Scratch, sources, targets []NodeID) (nodes []int32, ok bool) {
+func (g *Adjacency) SourcePathsInto(s *Scratch, sources, targets []NodeID) (nodes []int32, ok bool) {
 	n := len(g.ids)
 	s.ensureTree(n)
 	ep := s.nextEpoch()

@@ -170,7 +170,10 @@ func TestCacheCommitBallMatchesCommit(t *testing.T) {
 		}
 		ball := slices.Clone(b.View().KHopBallIndices(id, b.Radius(), s))
 		da := a.Commit([]graph.NodeID{id})
-		db := b.CommitBall(id, ball)
+		var db []graph.NodeID
+		for _, bi := range b.CommitBall(id, ball) {
+			db = append(db, g.NodeAt(int(bi)))
+		}
 		if !slices.Equal(da, db) {
 			t.Fatalf("deleting %d: Commit dirty %v != CommitBall dirty %v", id, da, db)
 		}
@@ -186,6 +189,60 @@ func TestCacheCommitBallMatchesCommit(t *testing.T) {
 		}
 	}
 	checkAgainstFresh(t, b, "after known-ball commits")
+}
+
+// TestCacheCommitTakesJudgedBall: Ball(v) is v's k-ball on the current
+// view whether or not Deletable just judged v, and Commit([v]) right after
+// v's verdict — which takes the judged ball — dirties, invalidates and
+// counts exactly as a Commit whose ball is searched afresh (b searches
+// another node's ball in between). A deletion in between, by CommitBall
+// with a ball from outside the cache, makes the judged ball stale, so
+// Commit must search again. At τ = 2, where no verdict extracts a ball,
+// Commit still dirties the whole ball.
+func TestCacheCommitTakesJudgedBall(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for tau := 2; tau <= 6; tau++ {
+		g := randomConnected(r, 70, 0.1)
+		a, b := NewCache(g, tau), NewCache(g, tau)
+		s := graph.NewScratch(g)
+		for step := 0; step < 40; step++ {
+			live := a.LiveNodes()
+			v, w := live[r.Intn(len(live))], live[r.Intn(len(live))]
+			a.Deletable(v)
+			b.Deletable(v)
+			want := slices.Clone(a.View().KHopBallIndices(v, a.Radius(), s))
+			if got := a.Ball(v); !slices.Equal(got, want) {
+				t.Fatalf("tau %d: Ball(%d) after its verdict = %v, want %v", tau, v, got, want)
+			}
+			if got := b.Ball(w); !slices.Equal(got, a.View().KHopBallIndices(w, a.Radius(), s)) {
+				t.Fatalf("tau %d: Ball(%d) = %v, want its k-ball", tau, w, got)
+			}
+			if u := live[r.Intn(len(live))]; u != v && r.Intn(3) == 0 {
+				ub := slices.Clone(a.View().KHopBallIndices(u, a.Radius(), s))
+				a.CommitBall(u, ub)
+				b.CommitBall(u, ub)
+				want = slices.Clone(a.View().KHopBallIndices(v, a.Radius(), s))
+			}
+			da, db := a.Commit([]graph.NodeID{v}), b.Commit([]graph.NodeID{v})
+			if !slices.Equal(da, db) {
+				t.Fatalf("tau %d: deleting %d: dirty %v with the judged ball, %v with a fresh one", tau, v, da, db)
+			}
+			if tau == 2 && len(da) != len(want) {
+				t.Fatalf("tau 2: deleting %d dirtied %d nodes, want its ball's %d", v, len(da), len(want))
+			}
+			if a.Stats() != b.Stats() {
+				t.Fatalf("tau %d: deleting %d: stats %+v with the judged ball, %+v with a fresh one", tau, v, a.Stats(), b.Stats())
+			}
+			for _, u := range a.LiveNodes() {
+				xa, oka := a.Cached(u)
+				xb, okb := b.Cached(u)
+				if xa != xb || oka != okb {
+					t.Fatalf("tau %d: deleting %d: node %d cached (%v, %v) and (%v, %v)", tau, v, u, xa, oka, xb, okb)
+				}
+			}
+		}
+		checkAgainstFresh(t, a, "after judged-ball commits")
+	}
 }
 
 // TestCacheBatchCommit: removing an independent set at once (the parallel

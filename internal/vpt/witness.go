@@ -95,7 +95,7 @@ var refutationNames = [NumRefutations]string{"empty", "disconnected", "unconfine
 // old ones, so it stays unspanned. The empty and unconfined refutations
 // need no witness: direct neighbours only disappear, and a short path in
 // the new Γ^k(v) is one in the old.
-func (t *Tester) judge(nb *graph.Graph, direct []graph.NodeID, tau int) Verdict {
+func (t *Tester) judge(nb *graph.Adjacency, direct []graph.NodeID, tau int) Verdict {
 	t.wit = t.wit[:0]
 	t.kind = RefutedEmpty
 	if tau < 3 || nb == nil || nb.NumNodes() == 0 {
@@ -113,7 +113,7 @@ func (t *Tester) judge(nb *graph.Graph, direct []graph.NodeID, tau int) Verdict 
 		t.kind = RefutedUnconfined
 		return 0
 	}
-	if cycles.SpannedByShortWS(nb, tau, t.ws) {
+	if cycles.SpannedByShortAdj(nb, tau, t.ws) {
 		return VerdictDeletable
 	}
 	t.kind = RefutedUnspanned

@@ -46,9 +46,15 @@ echo '== cache consistency smoke (deep assertions)'
 # The incremental deletability engine with its dccdebug cross-checks armed:
 # every cached verdict is compared against fresh recomputation, and every
 # Commit is followed by a dirty-set audit. The reference regression
-# pins the cache-backed schedulers to the pre-cache engines byte for byte.
+# pins the cache-backed schedulers to the pre-cache engines byte for byte,
+# and the verdict and span goldens pin every engine's deletion order, test
+# count and vpt counters, and the span engine's end state, to recorded
+# values, with the adjacency-only ball and the filtered Horton pass checked
+# against their full forms on every verdict.
 go test -tags dccdebug -run '^TestCache|^FuzzCacheConsistency$' ./internal/vpt
 go test -tags dccdebug -run 'MatchesReference$' ./internal/core
+go test -tags dccdebug -run '^TestVerdictGolden$' .
+go test -tags dccdebug -run '^TestSpanGolden$' ./internal/cycles
 
 echo '== scenario oracle smoke (-short)'
 # The ground-truth catalogue against the pipeline: closed-form oracles,
