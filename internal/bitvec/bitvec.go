@@ -97,12 +97,6 @@ func (v Vector) PopCount() int {
 	return c
 }
 
-// FirstSet returns the index of the lowest set bit, or -1 if the vector is
-// zero.
-func (v Vector) FirstSet() int {
-	return v.firstSetFrom(0)
-}
-
 // firstSetFrom returns the index of the lowest set bit at or above word
 // index fromWord, or -1.
 func (v Vector) firstSetFrom(fromWord int) int {
@@ -112,13 +106,6 @@ func (v Vector) firstSetFrom(fromWord int) int {
 		}
 	}
 	return -1
-}
-
-// Zero clears every bit in place.
-func (v Vector) Zero() {
-	for i := range v.words {
-		v.words[i] = 0
-	}
 }
 
 // Indices returns the indices of all set bits in increasing order.

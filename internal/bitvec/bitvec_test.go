@@ -98,6 +98,8 @@ func TestFromIndices(t *testing.T) {
 	}
 }
 
+// TestFirstSet checks the lowest-set-bit scan that finds the echelon's
+// pivots, across word boundaries.
 func TestFirstSet(t *testing.T) {
 	tests := []struct {
 		name string
@@ -112,8 +114,8 @@ func TestFirstSet(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.v.FirstSet(); got != tt.want {
-				t.Fatalf("FirstSet() = %d, want %d", got, tt.want)
+			if got := tt.v.firstSetFrom(0); got != tt.want {
+				t.Fatalf("firstSetFrom(0) = %d, want %d", got, tt.want)
 			}
 		})
 	}

@@ -596,8 +596,10 @@ func VerifyNonRedundant(net Network, final *graph.Graph, tau int) (bool, graph.N
 // RepairBoundaries implements the paper's multi-boundary preprocessing
 // (§V-B): all boundary cycles except the first (the outer one) are filled
 // with a cone — a fresh virtual node adjacent to every vertex of that
-// cycle. Virtual nodes are marked as boundary (undeletable). The returned
-// network shares no mutable state with the input.
+// cycle (graph.Cone). Virtual nodes are marked as boundary (undeletable)
+// and returned in cycle order. With at most one boundary cycle the input
+// network is returned as it is. Otherwise the graph and the Boundary map
+// are fresh, and BoundaryCycles is the input's slice.
 func RepairBoundaries(net Network) (Network, []graph.NodeID, error) {
 	if err := net.Validate(); err != nil {
 		return Network{}, nil, err
@@ -605,40 +607,17 @@ func RepairBoundaries(net Network) (Network, []graph.NodeID, error) {
 	if len(net.BoundaryCycles) <= 1 {
 		return net, nil, nil
 	}
-	b := graph.NewBuilder()
-	for _, v := range net.G.Nodes() {
-		b.AddNode(v)
-	}
-	for _, e := range net.G.Edges() {
-		b.AddEdge(e.U, e.V)
-	}
-	nextID := graph.NodeID(0)
-	for _, v := range net.G.Nodes() {
-		if v >= nextID {
-			nextID = v + 1
-		}
-	}
-	newBoundary := make(map[graph.NodeID]bool, len(net.Boundary))
+	g := net.G.Cone(net.BoundaryCycles[1:])
+	virtual := g.Nodes()[net.G.NumNodes():]
+	newBoundary := make(map[graph.NodeID]bool, len(net.Boundary)+len(virtual))
 	//lint:ordered pure map copy; iteration order cannot escape
 	for v, ok := range net.Boundary {
 		newBoundary[v] = ok
 	}
-	var virtual []graph.NodeID
-	for _, cyc := range net.BoundaryCycles[1:] {
-		apex := nextID
-		nextID++
-		virtual = append(virtual, apex)
+	for _, apex := range virtual {
 		newBoundary[apex] = true
-		for _, v := range cyc {
-			b.AddEdge(apex, v)
-		}
 	}
-	out := Network{
-		G:              b.MustBuild(),
-		Boundary:       newBoundary,
-		BoundaryCycles: net.BoundaryCycles,
-	}
-	return out, virtual, nil
+	return Network{G: g, Boundary: newBoundary, BoundaryCycles: net.BoundaryCycles}, virtual, nil
 }
 
 // Requirement expresses a coverage demand following Proposition 1.

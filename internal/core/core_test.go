@@ -224,7 +224,7 @@ func TestScheduleNonRedundancy(t *testing.T) {
 	// the output is non-redundant — removing any kept internal node breaks
 	// the criterion.
 	net := denseNet(t, 46, 6, 6, 1.9)
-	_, maxVoid, err := vpt.VoidSizes(net.G)
+	_, maxVoid, err := cycles.MinMaxIrreducible(net.G.TwoCore())
 	if err != nil {
 		t.Fatal(err)
 	}

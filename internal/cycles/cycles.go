@@ -241,6 +241,22 @@ func SpannedByShort(g *graph.Graph, tau int) bool {
 	return SpannedByShortWS(g, tau, NewWorkspace())
 }
 
+// Corank returns the codimension in g's cycle space of the span of its
+// cycles of length ≤ tau: ν minus the union-find and residue ranks the
+// span engine reaches in one pass. It is 0 exactly when
+// SpannedByShort(g, tau) holds. At tau = 3 the span is that of the
+// triangle boundaries, so Corank is the GF(2) rank of H1 of g's Rips
+// 2-complex.
+func Corank(g *graph.Graph, tau int) int {
+	ws := NewWorkspace()
+	r := 0
+	if !ws.spansAll(g, tau) {
+		r = ws.nu - ws.rank - ws.ech.Rank()
+	}
+	debugCheckCorank(ws, g, tau, r) // no-op unless built with -tags dccdebug
+	return r
+}
+
 // Partitionable reports whether the target vector (typically the GF(2) sum
 // of the boundary cycles) is expressible as a sum of cycles of length
 // ≤ tau in g. This is the coverage criterion of Propositions 2 and 3. A tau

@@ -10,6 +10,7 @@ import (
 
 	"dcc/internal/bitvec"
 	"dcc/internal/graph"
+	"dcc/internal/nets"
 )
 
 func mustFromVertices(t *testing.T, g *graph.Graph, verts []graph.NodeID) Cycle {
@@ -165,6 +166,7 @@ func TestMCBKnownGraphs(t *testing.T) {
 		{"theta", thetaGraph(), 2, 4, 5},
 		{"petersen", petersen(), 6, 5, 5},
 		{"tree", graph.Path(6), 0, 0, 0},
+		{"path5", graph.Path(5), 0, 0, 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -312,26 +314,48 @@ func lengthMultiset(t *testing.T, g *graph.Graph) []int {
 	return ls
 }
 
+// TestSpannedByShort checks the span verdict and Corank together: the
+// cycles of length ≤ τ span the cycle space exactly when the corank is 0.
+// At τ = 3 the corank is the rank of H1 of the Rips 2-complex.
 func TestSpannedByShort(t *testing.T) {
+	mobius, _ := nets.Mobius()
+	twoSquares, err := graph.FromEdges([]graph.Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0},
+		{U: 10, V: 11}, {U: 11, V: 12}, {U: 12, V: 13}, {U: 13, V: 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tests := []struct {
-		name string
-		g    *graph.Graph
-		tau  int
-		want bool
+		name   string
+		g      *graph.Graph
+		tau    int
+		corank int
 	}{
-		{"triangulated grid tau=3", graph.TriangulatedGrid(4, 4), 3, true},
-		{"plain grid tau=3", graph.Grid(4, 4), 3, false},
-		{"plain grid tau=4", graph.Grid(4, 4), 4, true},
-		{"C6 tau=5", graph.Cycle(6), 5, false},
-		{"C6 tau=6", graph.Cycle(6), 6, true},
-		{"theta tau=4", thetaGraph(), 4, false},
-		{"theta tau=5", thetaGraph(), 5, true},
-		{"tree tau=3", graph.Path(9), 3, true}, // empty cycle space
+		{"triangulated grid tau=3", graph.TriangulatedGrid(4, 4), 3, 0},
+		{"plain grid tau=3", graph.Grid(4, 4), 3, 9},
+		{"plain grid tau=4", graph.Grid(4, 4), 4, 0},
+		{"C6 tau=2", graph.Cycle(6), 2, 1}, // no cycle is that short
+		{"C6 tau=3", graph.Cycle(6), 3, 1},
+		{"C6 tau=4", graph.Cycle(6), 4, 1},
+		{"C6 tau=5", graph.Cycle(6), 5, 1},
+		{"C6 tau=6", graph.Cycle(6), 6, 0},
+		{"theta tau=4", thetaGraph(), 4, 1},
+		{"theta tau=5", thetaGraph(), 5, 0},
+		{"tree tau=3", graph.Path(9), 3, 0}, // empty cycle space
+		{"K3 tau=3", graph.Complete(3), 3, 0},
+		{"K5 tau=3", graph.Complete(5), 3, 0},
+		{"two squares tau=3", twoSquares, 3, 2},
+		{"two squares tau=4", twoSquares, 4, 0},
+		{"mobius tau=3", mobius, 3, 1}, // the core circle
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := SpannedByShort(tt.g, tt.tau); got != tt.want {
-				t.Fatalf("SpannedByShort = %v, want %v", got, tt.want)
+			if got, want := SpannedByShort(tt.g, tt.tau), tt.corank == 0; got != want {
+				t.Fatalf("SpannedByShort = %v, want %v", got, want)
+			}
+			if got := Corank(tt.g, tt.tau); got != tt.corank {
+				t.Fatalf("Corank = %d, want %d", got, tt.corank)
 			}
 		})
 	}

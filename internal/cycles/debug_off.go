@@ -18,4 +18,6 @@ func debugCheckCertified(*Workspace, *graph.Adjacency, int) {}
 
 func debugCheckFilter(*Workspace, *graph.Graph, int, bool) {}
 
+func debugCheckCorank(*Workspace, *graph.Graph, int, int) {}
+
 func debugCheckPartition(*graph.Graph, bitvec.Vector, int, bool) {}

@@ -10,9 +10,9 @@ import (
 	"dcc/internal/graph"
 )
 
-// Deep assertions for the span engine (-tags dccdebug): every span verdict
-// and every membership answer must equal the m-bit elimination of
-// referenceSpan, which shares no code with the co-tree engine beyond the
+// Deep assertions for the span engine (-tags dccdebug): every span
+// verdict, membership answer and corank must equal the m-bit elimination
+// of referenceSpan, which shares no code with the co-tree engine beyond the
 // triangle and Horton enumerations. The reference costs what the verdict
 // cost before the engine, so the check is gated to graphs of at most
 // debugSpanLimit edges (the 2-core, for a span verdict) to keep dccdebug
@@ -84,6 +84,22 @@ func debugCheckFilter(ws *Workspace, g *graph.Graph, tau int, got bool) {
 	}
 	if !got && !slices.Equal(ws.UnspannedCycle(), ref.UnspannedCycle()) {
 		fail("unspanned cycle")
+	}
+}
+
+// debugCheckCorank cross-checks a Corank answer against the rank the
+// reference's echelon reaches.
+func debugCheckCorank(ws *Workspace, g *graph.Graph, tau, got int) {
+	if g.NumEdges() > debugSpanLimit {
+		return
+	}
+	if ws.dbg.ech == nil {
+		ws.dbg.ech = bitvec.NewEchelon(0)
+	}
+	referenceSpan(g, tau, ws.dbg.ech, ws.s)
+	if want := g.CycleSpaceDimWith(ws.s) - ws.dbg.ech.Rank(); want != got {
+		panic(fmt.Sprintf("cycles debug: Corank = %d, m-bit reference = %d (n=%d m=%d tau=%d)",
+			got, want, g.NumNodes(), g.NumEdges(), tau))
 	}
 }
 

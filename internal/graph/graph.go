@@ -484,6 +484,33 @@ func (g *Graph) DeleteEdges(del []Edge) *Graph {
 	return b.MustBuild()
 }
 
+// Cone returns g with one fresh apex per set, joined to the set's nodes
+// that are in g: the cone that fills an inner boundary cycle (paper §V-B)
+// or, in the homology baseline, a fence (de Silva and Ghrist). Apexes are
+// numbered up from g's largest ID + 1 in set order, and each is added even
+// when its set names no node of g, so they are the last len(sets) nodes of
+// the result. With no sets, g itself is returned.
+func (g *Graph) Cone(sets [][]NodeID) *Graph {
+	if len(sets) == 0 {
+		return g
+	}
+	b := &Builder{nodes: slices.Clone(g.ids), edges: slices.Clone(g.edges)}
+	apex := NodeID(0)
+	if n := len(g.ids); n > 0 {
+		apex = g.ids[n-1] + 1
+	}
+	for _, set := range sets {
+		b.AddNode(apex)
+		for _, v := range set {
+			if g.HasNode(v) {
+				b.AddEdge(apex, v)
+			}
+		}
+		apex++
+	}
+	return b.MustBuild()
+}
+
 // IsConnected reports whether the graph is connected. The empty graph and
 // single-node graphs are connected. Runs on a pooled scratch;
 // IsConnectedWith is the form for callers that own one.

@@ -365,6 +365,36 @@ func TestDeleteEdges(t *testing.T) {
 	}
 }
 
+// TestCone checks the apex numbering and membership rule: apexes count up
+// from the largest ID + 1 in set order, each is added even when its set
+// names no node, and a set's absent IDs are skipped, an ID that another
+// apex takes included.
+func TestCone(t *testing.T) {
+	g, _ := FromEdges([]Edge{{2, 5}, {5, 9}})
+	if g.Cone(nil) != g {
+		t.Fatal("Cone without sets rebuilt the graph")
+	}
+	tests := []struct {
+		name  string
+		g     *Graph
+		sets  [][]NodeID
+		nodes []NodeID
+		edges []Edge
+	}{
+		{"path", g, [][]NodeID{{2, 9}, {5, 7, 12, 5}, {3}},
+			[]NodeID{2, 5, 9, 10, 11, 12}, []Edge{{2, 5}, {2, 10}, {5, 9}, {5, 11}, {9, 10}}},
+		{"empty graph", NewBuilder().MustBuild(), [][]NodeID{{4}}, []NodeID{0}, nil},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			c := tt.g.Cone(tt.sets)
+			if !reflect.DeepEqual(c.Nodes(), tt.nodes) || !reflect.DeepEqual(c.Edges(), tt.edges) {
+				t.Fatalf("Cone = %v %v, want %v %v", c.Nodes(), c.Edges(), tt.nodes, tt.edges)
+			}
+		})
+	}
+}
+
 func TestConnectivity(t *testing.T) {
 	tests := []struct {
 		name  string

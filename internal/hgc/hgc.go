@@ -6,9 +6,12 @@
 // Over GF(2), H1 of a Rips complex is trivial exactly when the cycle space
 // of the connectivity graph is spanned by its 3-cycles, which connects the
 // homology criterion to the cycle-partition framework: HGC is the special,
-// stricter case τ = 3 (paper §IV-B). The möbius-band network of Figure 1
-// separates the two: its boundary is 3-partitionable (DCC accepts) while
-// H1 is non-trivial (HGC reports a phantom hole).
+// stricter case τ = 3 (paper §IV-B). So Verify asks the τ = 3 span
+// question of the cycles package on the graph with its inner boundaries
+// coned, and cycles.Corank(g, 3) is the rank of H1. The möbius-band
+// network of Figure 1 separates the two criteria: its boundary is
+// 3-partitionable (DCC accepts) while H1 is non-trivial (HGC reports a
+// phantom hole).
 //
 // Two schedulers are provided:
 //
@@ -25,22 +28,20 @@ import (
 	"math/rand"
 
 	"dcc/internal/core"
+	"dcc/internal/cycles"
 	"dcc/internal/graph"
-	"dcc/internal/simplicial"
 )
 
 // Verify runs the homology-group coverage verification on a connectivity
-// graph: it builds the Rips 2-complex, cones every inner boundary (regions
-// declared as not requiring coverage), and reports whether the first
-// homology group is trivial. A trivial H1 certifies blanket coverage under
-// the HGC range condition Rs ≥ Rc/√3; a non-trivial H1 reports a hole
-// (possibly spuriously — see the möbius example).
+// graph: it cones every inner boundary (regions declared as not requiring
+// coverage) with graph.Cone, which makes the pair's relative H1 the coned
+// graph's absolute H1 (the fenced criterion of de Silva and Ghrist), and
+// reports whether that H1 is trivial, i.e. whether the coned graph's
+// triangles span its cycle space. A trivial H1 certifies blanket coverage
+// under the HGC range condition Rs ≥ Rc/√3; a non-trivial H1 reports a
+// hole (possibly spuriously — see the möbius example).
 func Verify(g *graph.Graph, innerBoundaries [][]graph.NodeID) bool {
-	k := simplicial.Rips(g)
-	for _, cyc := range innerBoundaries {
-		k, _ = k.ConeFence(cyc)
-	}
-	return k.H1Trivial()
+	return cycles.SpannedByShort(g.Cone(innerBoundaries), 3)
 }
 
 // Options configures HGC scheduling.

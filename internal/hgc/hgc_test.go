@@ -2,6 +2,7 @@ package hgc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dcc/internal/core"
@@ -36,7 +37,7 @@ func TestVerifyKnownGraphs(t *testing.T) {
 // network is fully covered (its boundary is 3-partitionable, accepted by
 // DCC), but the homology criterion reports a hole.
 func TestVerifyMobiusFalsePositive(t *testing.T) {
-	g, _, boundary := nets.Mobius()
+	g, boundary := nets.Mobius()
 	if Verify(g, nil) {
 		t.Fatal("HGC should report a (phantom) hole on the möbius network")
 	}
@@ -49,18 +50,69 @@ func TestVerifyMobiusFalsePositive(t *testing.T) {
 	}
 }
 
+// TestVerifyConedInnerBoundary checks the fenced criterion: Verify on
+// the graph with its fences coned, and the H1 rank of that cone.
+//
+//   - A carved triangulated grid (hexagonal hole around node 14) has a
+//     non-trivial absolute H1, but coning the declared inner boundary
+//     makes the criterion pass.
+//   - A triangulated annulus has H1 = Z/2, so the absolute criterion
+//     detects the inner hole. Its inner and outer boundary classes are
+//     homologous, hence coning either boundary kills the class. That is
+//     why hole detection must use absolute H1 and cone only the
+//     boundaries declared as not requiring coverage.
 func TestVerifyConedInnerBoundary(t *testing.T) {
-	// Carved triangulated grid (hexagonal hole around node 14): absolute
-	// H1 is non-trivial, but coning the declared inner boundary makes the
-	// criterion pass.
-	g := graph.TriangulatedGrid(6, 6).DeleteVertices([]graph.NodeID{14})
-	if Verify(g, nil) {
-		t.Fatal("hole not detected")
+	carved := graph.TriangulatedGrid(6, 6).DeleteVertices([]graph.NodeID{14})
+	hexagon := []graph.NodeID{7, 8, 15, 21, 20, 13}
+	ann, inner, outer := annulus()
+	tests := []struct {
+		name   string
+		g      *graph.Graph
+		fences [][]graph.NodeID
+		rank   int
+	}{
+		{"carved grid", carved, nil, 1},
+		{"carved grid, hexagon coned", carved, [][]graph.NodeID{hexagon}, 0},
+		{"annulus", ann, nil, 1},
+		{"annulus, outer coned", ann, [][]graph.NodeID{outer}, 0},
+		{"annulus, inner coned", ann, [][]graph.NodeID{inner}, 0},
+		{"annulus, both coned by one apex", ann, [][]graph.NodeID{append(slices.Clone(outer), inner...)}, 0},
+		{"annulus, each coned", ann, [][]graph.NodeID{inner, outer}, 0},
 	}
-	inner := [][]graph.NodeID{{7, 8, 15, 21, 20, 13}}
-	if !Verify(g, inner) {
-		t.Fatal("declared inner boundary not accepted after coning")
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got, want := Verify(tt.g, tt.fences), tt.rank == 0; got != want {
+				t.Fatalf("Verify = %v, want %v", got, want)
+			}
+			if got := cycles.Corank(tt.g.Cone(tt.fences), 3); got != tt.rank {
+				t.Fatalf("H1 rank = %d, want %d", got, tt.rank)
+			}
+		})
 	}
+}
+
+// annulus builds a triangulated annulus: inner square 0..3, outer octagon
+// 4..11, and a strip between them whose triangles are the graph's
+// 3-cliques.
+func annulus() (g *graph.Graph, inner, outer []graph.NodeID) {
+	inner = []graph.NodeID{0, 1, 2, 3}
+	outer = []graph.NodeID{4, 5, 6, 7, 8, 9, 10, 11}
+	b := graph.NewBuilder()
+	for i := 0; i < 4; i++ {
+		b.AddEdge(inner[i], inner[(i+1)%4])
+	}
+	for j := 0; j < 8; j++ {
+		// Outer vertices j and j+1 both see inner vertex j/2; where the
+		// strip turns a corner, j+1 also sees the next inner vertex.
+		in, inNext := inner[j/2], inner[((j+1)/2)%4]
+		b.AddEdge(outer[j], outer[(j+1)%8])
+		b.AddEdge(outer[j], in)
+		b.AddEdge(outer[(j+1)%8], in)
+		if in != inNext {
+			b.AddEdge(outer[(j+1)%8], inNext)
+		}
+	}
+	return b.MustBuild(), inner, outer
 }
 
 // denseNet mirrors the construction in the core tests.

@@ -13,7 +13,7 @@ import (
 // homology-group criterion fails (H1 is non-trivial, same homology type as
 // a circle).
 func TestMobiusSeparatesCriteria(t *testing.T) {
-	g, k, boundary := Mobius()
+	g, boundary := Mobius()
 
 	if g.NumNodes() != 12 {
 		t.Fatalf("nodes = %d, want 12", g.NumNodes())
@@ -21,12 +21,17 @@ func TestMobiusSeparatesCriteria(t *testing.T) {
 	if g.NumEdges() != 28 {
 		t.Fatalf("edges = %d, want 28", g.NumEdges())
 	}
-	if k.NumTriangles() != 16 {
-		t.Fatalf("triangles = %d, want 16", k.NumTriangles())
+	var tris []cycles.Cycle
+	g.ForEachTriangle(func(e1, e2, e3 int32) bool {
+		tris = append(tris, cycles.NewCycle([]int{int(e1), int(e2), int(e3)}))
+		return true
+	})
+	if len(tris) != 16 {
+		t.Fatalf("triangles = %d, want 16", len(tris))
 	}
 
 	// Homology criterion: H1 has the homology type of a circle.
-	if got := k.H1Rank(); got != 1 {
+	if got := cycles.Corank(g, 3); got != 1 {
 		t.Fatalf("H1 rank = %d, want 1 (möbius core circle)", got)
 	}
 
@@ -34,14 +39,6 @@ func TestMobiusSeparatesCriteria(t *testing.T) {
 	outer, err := cycles.FromVertices(g, boundary)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var tris []cycles.Cycle
-	for _, tr := range k.Triangles() {
-		c, err := cycles.FromVertices(g, []graph.NodeID{tr.A, tr.B, tr.C})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tris = append(tris, c)
 	}
 	if !cycles.Sum(g.NumEdges(), tris...).Equal(outer.Vector(g.NumEdges())) {
 		t.Fatal("outer boundary is not the sum of all triangles")
@@ -52,27 +49,7 @@ func TestMobiusSeparatesCriteria(t *testing.T) {
 
 	// The homology criterion fails even RELATIVE to the outer fence: the
 	// core circle is not null-homologous.
-	if k.H1TrivialRelative(boundary) {
-		t.Fatal("relative H1 should be non-trivial for the möbius band")
-	}
-}
-
-func TestMinimalMobius(t *testing.T) {
-	g, k, boundary := MinimalMobius()
-	if k.NumTriangles() != 5 {
-		t.Fatalf("triangles = %d, want 5", k.NumTriangles())
-	}
-	if got := k.H1Rank(); got != 1 {
-		t.Fatalf("H1 rank = %d, want 1", got)
-	}
-	outer, err := cycles.FromVertices(g, boundary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outer.Len() != 5 {
-		t.Fatalf("boundary length = %d, want 5", outer.Len())
-	}
-	if !cycles.Partitionable(g, outer.Vector(g.NumEdges()), 3) {
-		t.Fatal("minimal möbius boundary not 3-partitionable")
+	if got := cycles.Corank(g.Cone([][]graph.NodeID{boundary}), 3); got != 1 {
+		t.Fatalf("relative H1 rank = %d, want 1 for the möbius band", got)
 	}
 }

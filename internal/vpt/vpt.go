@@ -105,10 +105,3 @@ func EdgeDeletable(g *graph.Graph, u, v graph.NodeID, tau int) bool {
 	}
 	return cycles.SpannedByShort(sub, tau)
 }
-
-// VoidSizes returns the minimum and maximum void (irreducible cycle) sizes
-// of a graph — Algorithm 1 applied as a quality-of-coverage probe. A forest
-// yields (0, 0).
-func VoidSizes(g *graph.Graph) (minSize, maxSize int, err error) {
-	return cycles.MinMaxIrreducible(g.TwoCore())
-}

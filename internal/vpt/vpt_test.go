@@ -170,23 +170,6 @@ func TestEdgeDeletable(t *testing.T) {
 	}
 }
 
-func TestVoidSizes(t *testing.T) {
-	mn, mx, err := VoidSizes(graph.Grid(3, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mn != 4 || mx != 4 {
-		t.Fatalf("grid voids = (%d,%d), want (4,4)", mn, mx)
-	}
-	mn, mx, err = VoidSizes(graph.Path(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mn != 0 || mx != 0 {
-		t.Fatalf("tree voids = (%d,%d), want (0,0)", mn, mx)
-	}
-}
-
 // TestDeletionPreservesPartitionability is the property at the heart of
 // Theorem 5, checked empirically on random triangulated-grid-like graphs:
 // if the outer boundary is τ-partitionable and an internal vertex passes
